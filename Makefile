@@ -43,7 +43,7 @@ bench:
 	( $(GO) test -bench=BenchmarkKernel -benchtime=200000x -benchmem -run='^$$' ./internal/sim/ && \
 	  $(GO) test -bench=BenchmarkOversubscribed -benchtime=20x -benchmem -run='^$$' ./internal/queueing/ && \
 	  $(GO) test -bench=. -benchtime=1000000x -benchmem -run='^$$' ./internal/telemetry/ && \
-	  $(GO) test -bench='BenchmarkServing(Filter|Prioritize|Status|Metrics)$$' -benchtime=2000x -benchmem -run='^$$' ./internal/ocd/ && \
+	  $(GO) test -bench='BenchmarkServing(Filter|Filter10k|Prioritize|Status|Metrics)$$' -benchtime=2000x -benchmem -run='^$$' ./internal/ocd/ && \
 	  $(GO) test -bench=BenchmarkServingMixedReadWhileStepping -benchtime=20000x -benchmem -run='^$$' ./internal/ocd/ && \
 	  $(GO) test -bench='BenchmarkPublish(Place|Step)(FullCopy)?$$' -benchtime=100x -benchmem -run='^$$' ./internal/ocd/ && \
 	  $(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' \
@@ -53,11 +53,11 @@ bench:
 
 # CI bench smoke: one iteration of the kernel (both queue backends),
 # oversubscription, a GB-scale harness (TableXI), fleet-simulation,
-# sharded-hyperscale, mixed read-while-stepping serving and snapshot
-# publication (COW + full-copy arms) hot-path benchmarks, piped
-# through benchjson so benchmark and tooling rot fail fast.
+# sharded-hyperscale, filter serving, mixed read-while-stepping serving
+# and snapshot publication (COW + full-copy arms) hot-path benchmarks,
+# piped through benchjson so benchmark and tooling rot fail fast.
 bench-smoke:
-	$(GO) test -bench='BenchmarkKernel|BenchmarkOversubscribed|BenchmarkTableXI$$|BenchmarkFleetSim$$|BenchmarkFleetHyperScale|BenchmarkServingMixedReadWhileStepping|BenchmarkPublishPlace' \
+	$(GO) test -bench='BenchmarkKernel|BenchmarkOversubscribed|BenchmarkTableXI$$|BenchmarkFleetSim$$|BenchmarkFleetHyperScale|BenchmarkServingFilter$$|BenchmarkServingMixedReadWhileStepping|BenchmarkPublishPlace' \
 		-benchtime=1x -benchmem -run='^$$' \
 		./internal/sim/ ./internal/queueing/ ./internal/ocd/ . | $(GO) run ./cmd/benchjson
 

@@ -103,8 +103,12 @@ type Daemon struct {
 	pendingView   bool
 	flushArmed    bool
 
+	// refs is every server's pre-rendered filter-response fragment,
+	// built in New and read-only afterwards.
+	refs refTable
+
 	// scratch pools the per-request read-plane state (decode buffer,
-	// response slices, pooled encoder); renderers pools the /metrics
+	// response buffers, pooled encoder); renderers pools the /metrics
 	// exposition plans. Both recycle via sync.Pool so concurrent
 	// readers never share state.
 	scratch   sync.Pool
@@ -134,6 +138,7 @@ func New(cfg dcsim.Config, mode string, reg *telemetry.Registry) (*Daemon, error
 	d.scratch.New = func() any { return newServScratch() }
 	d.renderers.New = func() any { return telemetry.NewPromRenderer(reg, "ocd") }
 	d.publishLocked()
+	d.refs = newRefTable(d.snap.Load())
 	d.lastPublish = time.Now()
 	return d, nil
 }

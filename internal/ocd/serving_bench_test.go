@@ -3,8 +3,10 @@ package ocd
 // Serving-path benchmarks. The per-endpoint benchmarks drive the
 // snapshot handlers directly (no mux, no network) against a
 // 1000-server fleet so the number measured is the daemon's own work;
-// BenchmarkServingFilter and BenchmarkServingStatus are the PR's
-// 0 allocs/op gates. BenchmarkServingMixedReadWhileStepping is the
+// BenchmarkServingFilter10k repeats the filter at the 10k-server scale
+// of the repository benchmark's scheduler workload. The read plane's
+// 0 allocs/op contract is enforced by TestReadPlaneZeroAllocs.
+// BenchmarkServingMixedReadWhileStepping is the
 // headline A/B: parallel readers against a stepper that holds the
 // write lock, once with lockedReads (the old serving path) and once
 // with snapshot reads.
@@ -47,7 +49,7 @@ func (b *benchBody) Close() error               { return nil }
 // response shape. The per-endpoint benchmarks use 1000 servers (the
 // 0 allocs/op gate size); the mixed benchmark scales up to fleet size,
 // where the O(fleet) cost of locked reads is the story.
-func benchDaemon(b *testing.B, servers int, locked bool) *Daemon {
+func benchDaemon(b testing.TB, servers int, locked bool) *Daemon {
 	b.Helper()
 	cfg := dcsim.DefaultConfig()
 	cfg.Servers = servers
@@ -91,45 +93,71 @@ var (
 	benchStepBody = []byte(`{"steps":10}`)
 )
 
-// benchServe measures one snapshot endpoint called directly, with the
-// request body and writer recycled every iteration.
-func benchServe(b *testing.B, method, path string, payload []byte, fn func(*Daemon, http.ResponseWriter, *http.Request)) {
-	d := benchDaemon(b, 1000, false)
-	req := httptest.NewRequest(method, path, nil)
-	var body *benchBody
+// endpoint is one snapshot read handler with a fixed request, called
+// directly with the request body and writer recycled on every call.
+type endpoint struct {
+	d    *Daemon
+	fn   func(*Daemon, http.ResponseWriter, *http.Request)
+	req  *http.Request
+	body *benchBody
+	data []byte
+	w    *benchRW
+}
+
+func newEndpoint(d *Daemon, method, path string, payload []byte, fn func(*Daemon, http.ResponseWriter, *http.Request)) *endpoint {
+	e := &endpoint{d: d, fn: fn, req: httptest.NewRequest(method, path, nil), data: payload, w: newBenchRW()}
 	if payload != nil {
-		body = &benchBody{}
-		req.Body = body
+		e.body = &benchBody{}
+		e.req.Body = e.body
 	}
-	w := newBenchRW()
+	return e
+}
+
+// serve makes one call and returns the HTTP status it wrote.
+func (e *endpoint) serve() int {
+	if e.body != nil {
+		e.body.r.Reset(e.data)
+	}
+	e.w.code = 0
+	e.fn(e.d, e.w, e.req)
+	if e.w.code == 0 {
+		return http.StatusOK
+	}
+	return e.w.code
+}
+
+// benchServe measures one snapshot endpoint over a fleet of the given
+// size, reporting the response size alongside the time.
+func benchServe(b *testing.B, servers int, method, path string, payload []byte, fn func(*Daemon, http.ResponseWriter, *http.Request)) {
+	e := newEndpoint(benchDaemon(b, servers, false), method, path, payload, fn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if body != nil {
-			body.r.Reset(payload)
-		}
-		w.code = 0
-		fn(d, w, req)
-		if w.code != 0 && w.code != http.StatusOK {
-			b.Fatalf("%s: HTTP %d", path, w.code)
+		if code := e.serve(); code != http.StatusOK {
+			b.Fatalf("%s: HTTP %d", path, code)
 		}
 	}
+	b.ReportMetric(float64(e.w.n)/float64(b.N)/1024, "KiB/op")
 }
 
 func BenchmarkServingFilter(b *testing.B) {
-	benchServe(b, http.MethodPost, "/v1/filter", benchFilterBody, (*Daemon).serveFilter)
+	benchServe(b, 1000, http.MethodPost, "/v1/filter", benchFilterBody, (*Daemon).serveFilter)
+}
+
+func BenchmarkServingFilter10k(b *testing.B) {
+	benchServe(b, 10000, http.MethodPost, "/v1/filter", benchFilterBody, (*Daemon).serveFilter)
 }
 
 func BenchmarkServingPrioritize(b *testing.B) {
-	benchServe(b, http.MethodPost, "/v1/prioritize", benchPrioritizeBody, (*Daemon).servePrioritize)
+	benchServe(b, 1000, http.MethodPost, "/v1/prioritize", benchPrioritizeBody, (*Daemon).servePrioritize)
 }
 
 func BenchmarkServingStatus(b *testing.B) {
-	benchServe(b, http.MethodGet, "/v1/status", nil, (*Daemon).serveStatus)
+	benchServe(b, 1000, http.MethodGet, "/v1/status", nil, (*Daemon).serveStatus)
 }
 
 func BenchmarkServingMetrics(b *testing.B) {
-	benchServe(b, http.MethodGet, "/metrics", nil, (*Daemon).serveMetrics)
+	benchServe(b, 1000, http.MethodGet, "/metrics", nil, (*Daemon).serveMetrics)
 }
 
 // BenchmarkServingMixedReadWhileStepping measures read throughput

@@ -8,8 +8,16 @@ package ocd
 // identical to its locked oracle in daemon.go when the view was
 // published at the same simulated instant — TestSnapshotMatchesLockedReads
 // pins that equivalence response by response. The allocation contract
-// (0 allocs/op once scratch is warm) is pinned by the serving
-// benchmarks.
+// (0 allocs/op once scratch is warm) is pinned by
+// TestReadPlaneZeroAllocs.
+//
+// /v1/filter does not go through encoding/json: its answer lists every
+// server, and reflection-driven encoding of that list dominated the
+// request. appendFilter renders the v1 bytes directly, copying each
+// server's pre-rendered ServerRef fragment (refTable) instead of
+// formatting it; FuzzFilterEncodeMatchesJSON pins the output to
+// json.Encoder's. Prioritize and status answers are small and still
+// encode through the pooled json.Encoder.
 //
 // Recycling rules:
 //   - fleetView is immutable after publishLocked stores it. Views are
@@ -18,9 +26,11 @@ package ocd
 //     write plane pays one view allocation per publish; readers pay
 //     nothing.
 //   - servScratch is per-request mutable state (decode buffer, request
-//     structs, response slices, the pooled JSON encoder). It cycles
-//     through d.scratch, so a request owns its scratch exclusively
-//     from Get to Put.
+//     structs, response buffers and slices, the pooled JSON encoder).
+//     It cycles through d.scratch, so a request owns its scratch
+//     exclusively from Get to Put.
+//   - refTable is built once in New, before the daemon serves, and is
+//     read-only afterwards.
 //   - telemetry.PromRenderer is not safe for concurrent use, so
 //     /metrics cycles renderers through d.renderers the same way.
 
@@ -31,8 +41,10 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 
 	"immersionoc/internal/api"
+	"immersionoc/internal/cluster"
 	"immersionoc/internal/dcsim"
 	"immersionoc/internal/telemetry"
 	"immersionoc/internal/vm"
@@ -118,12 +130,13 @@ type servScratch struct {
 	freq api.FilterRequest
 	preq api.PrioritizeRequest // Servers doubles as the decode buffer
 
-	eligible []api.ServerRef
-	failed   []api.FilterFailure
-	scores   []api.HostScore
-	sorter   hostScoreSorter
+	// filterOut is the rendered filter response; filterFailed holds
+	// its "failed" list while the eligible list is still being written.
+	filterOut, filterFailed []byte
 
-	fresp  api.FilterResponse
+	scores []api.HostScore
+	sorter hostScoreSorter
+
 	presp  api.PrioritizeResponse
 	status api.FleetStatus
 
@@ -218,27 +231,111 @@ func (d *Daemon) serveFilter(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view := d.snap.Load()
+	sc.filterOut, sc.filterFailed = appendFilter(sc.filterOut[:0], sc.filterFailed,
+		view, &d.refs, sc.freq.VM.VCores, sc.freq.VM.MemoryGB, class == vm.HighPerf)
+	w.Header()["Content-Type"] = jsonCT
+	_, _ = w.Write(sc.filterOut)
+}
+
+// appendFilter appends view's /v1/filter answer for a VM of the given
+// shape to out — byte for byte what json.Encoder.Encode writes for the
+// equivalent api.FilterResponse, trailing newline included — in one
+// pass over the fleet: eligible servers go straight to out, failures
+// to failed (scratch, overwritten), which is joined on at the end. It
+// returns both buffers for reuse.
+func appendFilter(out, failed []byte, view *fleetView, refs *refTable,
+	vcores int, memoryGB float64, highPerf bool) ([]byte, []byte) {
 	flat := &view.Flat
-	highPerf := class == vm.HighPerf
-	sc.eligible = sc.eligible[:0]
-	sc.failed = sc.failed[:0]
+	failed = failed[:0]
+	out = append(out, `{"version":"`+api.Version+`"`...)
+	eligible := false
 	for i := 0; i < flat.Servers; i++ {
-		tank := i / view.ServersPerTank
-		ref := api.ServerRef{Index: i, ID: flat.ID.At(i), Tank: tank}
-		reason := flat.Explain(i, sc.freq.VM.VCores, sc.freq.VM.MemoryGB, highPerf)
-		if reason == "" && highPerf && view.OCPerTank[tank] >= view.TankBudget[tank] {
+		reason := flat.Explain(i, vcores, memoryGB, highPerf)
+		if reason == "" && highPerf {
 			// A guaranteed-overclock VM needs condenser headroom in the
 			// tank, not just core headroom on the server.
-			reason = reasonThermal
+			if tank := i / view.ServersPerTank; view.OCPerTank[tank] >= view.TankBudget[tank] {
+				reason = reasonThermal
+			}
 		}
+		ref := refs.at(i)
 		if reason == "" {
-			sc.eligible = append(sc.eligible, ref)
-		} else {
-			sc.failed = append(sc.failed, api.FilterFailure{Server: ref, Reason: reason})
+			if eligible {
+				out = append(out, ',')
+			} else {
+				out = append(out, `,"eligible":[`...)
+				eligible = true
+			}
+			out = append(out, ref...)
+			continue
 		}
+		if len(failed) == 0 {
+			failed = append(failed, `,"failed":[{"server":`...)
+		} else {
+			failed = append(failed, `,{"server":`...)
+		}
+		failed = append(failed, ref...)
+		failed = append(failed, reasonSuffix(reason)...)
 	}
-	sc.fresp = api.FilterResponse{Vers: api.Version, Eligible: sc.eligible, Failed: sc.failed}
-	sc.writeJSON(w, &sc.fresp)
+	if eligible {
+		out = append(out, ']')
+	}
+	if len(failed) > 0 {
+		out = append(out, failed...)
+		out = append(out, ']')
+	}
+	return append(out, "}\n"...), failed
+}
+
+// refTable holds every server's ServerRef rendered as JSON
+// (`{"index":i,"id":ID,"tank":T}`) in one slab: server i's fragment
+// is slab[off[i]:off[i+1]]. A server's index, ID and tank are fixed
+// when the fleet is built, so the table is rendered once per daemon.
+type refTable struct {
+	slab []byte
+	off  []uint32
+}
+
+// newRefTable renders the fragments of view's fleet.
+func newRefTable(view *fleetView) refTable {
+	flat := &view.Flat
+	t := refTable{
+		slab: make([]byte, 0, 40*flat.Servers), // fragments run 30–40 bytes up to 100k servers
+		off:  make([]uint32, 1, flat.Servers+1),
+	}
+	for i := 0; i < flat.Servers; i++ {
+		t.slab = append(t.slab, `{"index":`...)
+		t.slab = strconv.AppendInt(t.slab, int64(i), 10)
+		t.slab = append(t.slab, `,"id":`...)
+		t.slab = strconv.AppendInt(t.slab, int64(flat.ID.At(i)), 10)
+		t.slab = append(t.slab, `,"tank":`...)
+		t.slab = strconv.AppendInt(t.slab, int64(i/view.ServersPerTank), 10)
+		t.slab = append(t.slab, '}')
+		t.off = append(t.off, uint32(len(t.slab)))
+	}
+	return t
+}
+
+func (t *refTable) at(i int) []byte { return t.slab[t.off[i]:t.off[i+1]] }
+
+// reasonSuffix returns the bytes closing a filter failure with the
+// given reason: `,"reason":"…"}`. Explain returns only the interned
+// cluster.Reason* constants and the filter adds reasonThermal, so
+// every suffix is a constant.
+func reasonSuffix(reason string) string {
+	switch reason {
+	case cluster.ReasonFailed:
+		return `,"reason":"` + cluster.ReasonFailed + `"}`
+	case cluster.ReasonMemory:
+		return `,"reason":"` + cluster.ReasonMemory + `"}`
+	case cluster.ReasonCapacity:
+		return `,"reason":"` + cluster.ReasonCapacity + `"}`
+	case cluster.ReasonClass:
+		return `,"reason":"` + cluster.ReasonClass + `"}`
+	case reasonThermal:
+		return `,"reason":"` + reasonThermal + `"}`
+	}
+	panic("ocd: filter reason " + strconv.Quote(reason) + " has no rendered suffix")
 }
 
 // servePrioritize answers /v1/prioritize from the published view,
