@@ -51,9 +51,8 @@ bench:
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -out BENCH_10.json
 	@cat BENCH_10.json
 
-# CI bench smoke: one iteration of the kernel (both queue backends),
-# oversubscription, a GB-scale harness (TableXI), fleet-simulation,
-# sharded-hyperscale, filter serving, mixed read-while-stepping serving
+# CI bench smoke: one iteration of the kernel, oversubscription, a
+# GB-scale harness (TableXI), fleet-simulation, sharded-hyperscale, filter serving, mixed read-while-stepping serving
 # and snapshot publication (COW + full-copy arms) hot-path benchmarks,
 # piped through benchjson so benchmark and tooling rot fail fast.
 bench-smoke:

@@ -42,11 +42,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -63,7 +65,7 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
 type options struct {
@@ -77,9 +79,12 @@ type options struct {
 	publishWindow time.Duration
 }
 
-func parseArgs(args []string) (options, error) {
+// parseArgs parses the command line. A parse error has already been
+// reported on stderr by the FlagSet, with usage.
+func parseArgs(args []string, stderr io.Writer) (options, error) {
 	var c options
 	fs := flag.NewFlagSet("ocd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	c.Register(fs)
 	fs.StringVar(&c.listen, "listen", "127.0.0.1:8080", "API listen address (host:0 picks an ephemeral port)")
 	fs.StringVar(&c.fleet, "fleet", "default", `fleet config: "default" or a JSON file path`)
@@ -88,22 +93,26 @@ func parseArgs(args []string) (options, error) {
 	fs.IntVar(&c.shards, "shards", 0, "fleet simulation shards stepped concurrently (0 = serial)")
 	fs.DurationVar(&c.publishWindow, "publish-max-latency", 0,
 		"write-plane group-commit window; 0 publishes a snapshot after every write")
-	if _, err := cli.ParseInterleaved(fs, args); err != nil {
-		return c, err
-	}
+	_, err := cli.ParseInterleaved(fs, args)
+	return c, err
+}
+
+// validate checks the parsed flag values against each other and their
+// ranges.
+func (c *options) validate() error {
 	if c.publishWindow < 0 {
-		return c, errors.New("-publish-max-latency must be non-negative")
+		return errors.New("-publish-max-latency must be non-negative")
 	}
 	if c.mode != ocd.ModeStepped && c.mode != ocd.ModeScaled {
-		return c, fmt.Errorf("-mode must be %q or %q", ocd.ModeStepped, ocd.ModeScaled)
+		return fmt.Errorf("-mode must be %q or %q", ocd.ModeStepped, ocd.ModeScaled)
 	}
 	if c.scale <= 0 {
-		return c, errors.New("-scale must be positive")
+		return errors.New("-scale must be positive")
 	}
 	if c.shards < 0 {
-		return c, errors.New("-shards must be non-negative")
+		return errors.New("-shards must be non-negative")
 	}
-	return c, nil
+	return nil
 }
 
 // fleetFile is the JSON schema of -fleet (snake_case, matching the
@@ -127,8 +136,10 @@ type fleetFile struct {
 	} `json:"trace,omitempty"`
 }
 
-// loadFleet resolves -fleet into a dcsim config. The -seed override
-// applies to a replayed trace's RNG.
+// loadFleet resolves -fleet into a dcsim config. The file must hold
+// exactly one fleetFile document; an unknown key (a typo such as
+// "server") is an error rather than a silently ignored setting. The
+// -seed override applies to a replayed trace's RNG.
 func loadFleet(spec string, seed uint64) (dcsim.Config, error) {
 	cfg := dcsim.DefaultConfig()
 	if spec == "default" || spec == "" {
@@ -140,8 +151,13 @@ func loadFleet(spec string, seed uint64) (dcsim.Config, error) {
 		return cfg, err
 	}
 	var f fleetFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
 		return cfg, fmt.Errorf("fleet %s: %w", spec, err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return cfg, fmt.Errorf("fleet %s: trailing data after JSON document", spec)
 	}
 	if f.Servers > 0 {
 		cfg.Servers = f.Servers
@@ -176,9 +192,13 @@ func loadFleet(spec string, seed uint64) (dcsim.Config, error) {
 	return cfg, nil
 }
 
-func run(args []string) int {
-	c, err := parseArgs(args)
+func run(args []string, stderr io.Writer) int {
+	c, err := parseArgs(args, stderr)
 	if err != nil {
+		return 2
+	}
+	if err := c.validate(); err != nil {
+		fmt.Fprintf(stderr, "ocd: %v\n", err)
 		return 2
 	}
 	if c.Workers > 0 {
@@ -190,7 +210,7 @@ func run(args []string) int {
 
 	cfg, err := loadFleet(c.fleet, c.Seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ocd: %v\n", err)
+		fmt.Fprintf(stderr, "ocd: %v\n", err)
 		return 1
 	}
 	cfg.Shards = c.shards
@@ -198,7 +218,7 @@ func run(args []string) int {
 	cfg.Tel = reg.Scope("dcsim")
 	d, err := ocd.New(cfg, c.mode, reg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ocd: %v\n", err)
+		fmt.Fprintf(stderr, "ocd: %v\n", err)
 		return 1
 	}
 	d.SetPublishMaxLatency(c.publishWindow)
@@ -207,17 +227,17 @@ func run(args []string) int {
 	defer stop()
 
 	if c.Pprof != "" {
-		ln, err := cli.ServePprof("ocd", c.Pprof, os.Stderr)
+		ln, err := cli.ServePprof("ocd", c.Pprof, stderr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ocd: %v\n", err)
+			fmt.Fprintf(stderr, "ocd: %v\n", err)
 			return 1
 		}
 		defer ln.Close()
 	}
 
-	ln, err := cli.Listen("ocd", "api", c.listen, "/v1", os.Stderr)
+	ln, err := cli.Listen("ocd", "api", c.listen, "/v1", stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ocd: %v\n", err)
+		fmt.Fprintf(stderr, "ocd: %v\n", err)
 		return 1
 	}
 	srv := newHTTPServer(d.Handler())
@@ -234,7 +254,7 @@ func run(args []string) int {
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "ocd: serve: %v\n", err)
+		fmt.Fprintf(stderr, "ocd: serve: %v\n", err)
 		return 1
 	}
 	stop()
@@ -245,15 +265,15 @@ func run(args []string) int {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "ocd: shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "ocd: shutdown: %v\n", err)
 	}
 	if c.Metrics != "" {
 		if err := writeMetrics(c.Metrics, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "ocd: metrics: %v\n", err)
+			fmt.Fprintf(stderr, "ocd: metrics: %v\n", err)
 			return 1
 		}
 	}
-	fmt.Fprintf(os.Stderr, "ocd: final: %s\n", d.FinalReport())
+	fmt.Fprintf(stderr, "ocd: final: %s\n", d.FinalReport())
 	return 0
 }
 

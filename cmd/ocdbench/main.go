@@ -5,8 +5,8 @@
 // stats.Digest, so the report's p50/p99/p999 are exact order
 // statistics, not histogram-bucket approximations. With no -addr it
 // self-hosts an in-process daemon on a loopback listener — fleet size,
-// a paced background stepper, and the write plane's publish knobs are
-// then configurable, so one binary measures the serving path end to
+// a paced background stepper, and the write plane's group-commit
+// window are then configurable, so one binary measures the serving path end to
 // end (HTTP stack included) without a deployment.
 //
 // -mix takes either explicit endpoint=weight pairs or a preset:
@@ -59,7 +59,6 @@ type loadCfg struct {
 	stepBatch     int           // self-host: steps per control-loop pass
 	stepPeriod    time.Duration // self-host: idle gap between passes; 0 disables stepping
 	publishWindow time.Duration // self-host: write-plane group-commit window
-	fullCopy      bool          // self-host: break COW publish chaining (baseline)
 }
 
 // endpointStats accumulates one endpoint's latencies across workers.
@@ -112,8 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"self-host: idle gap between control-loop passes (0 disables stepping)")
 	fs.DurationVar(&cfg.publishWindow, "publish-max-latency", 0,
 		"self-host: write-plane group-commit window (0 publishes after every write)")
-	fs.BoolVar(&cfg.fullCopy, "full-copy-publish", false,
-		"self-host: re-materialize the whole snapshot on every publish (pre-COW baseline)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -232,7 +229,6 @@ func selfHost(cfg loadCfg) (addr string, cleanup func(), err error) {
 		return "", nil, err
 	}
 	d.SetPublishMaxLatency(cfg.publishWindow)
-	d.SetFullCopyPublish(cfg.fullCopy)
 	h := d.Handler()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -29,9 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,14 +78,6 @@ type Daemon struct {
 	// chains off its predecessor through the snapshot's chunked COW
 	// columns, so a publish costs O(what changed), not O(fleet).
 	snap atomic.Pointer[fleetView]
-	// lockedReads routes the read endpoints through mu and the live
-	// Sim instead of the snapshot — the pre-snapshot serving path,
-	// kept as the differential-test oracle and the benchmark baseline.
-	lockedReads bool
-	// fullCopyPublish breaks the view chain so every publish
-	// re-materializes the whole fleet — the pre-COW publication path,
-	// kept live as the publish benchmarks' baseline arm.
-	fullCopyPublish bool
 
 	// Group commit (write-plane publish coalescing). publishWindow = 0
 	// (the default) publishes after every write. With a positive
@@ -153,12 +143,6 @@ func (d *Daemon) SetPublishMaxLatency(w time.Duration) {
 	}
 	d.publishWindow = w
 }
-
-// SetFullCopyPublish toggles full re-materialization on every publish
-// — the pre-COW publication cost, kept callable as the live baseline
-// for the publish benchmarks and A/B load tests. Call before the
-// daemon starts serving.
-func (d *Daemon) SetFullCopyPublish(on bool) { d.fullCopyPublish = on }
 
 // publishNowLocked publishes unconditionally, absorbing any pending
 // coalesced write. Caller must hold d.mu.
@@ -391,76 +375,6 @@ func (d *Daemon) serverRef(i int) api.ServerRef {
 	return api.ServerRef{Index: info.Index, ID: info.ID, Tank: info.Tank}
 }
 
-// filterLocked answers "which servers can take this VM" from the live
-// simulation under the daemon lock — the read plane's oracle (see
-// view.go for the snapshot path that normally serves /v1/filter).
-func (d *Daemon) filterLocked(req api.FilterRequest) (api.FilterResponse, error) {
-	v, err := vmFromSpec(req.VM)
-	if err != nil {
-		return api.FilterResponse{}, err
-	}
-	cl := d.sim.Cluster()
-	servers := cl.Servers()
-	resp := api.FilterResponse{Vers: api.Version}
-	for i, srv := range servers {
-		ref := d.serverRef(i)
-		reason := cl.Explain(srv, v)
-		if reason == "" && v.Class == vm.HighPerf &&
-			d.sim.TankOverclocked(ref.Tank) >= d.sim.TankBudget(ref.Tank) {
-			// A guaranteed-overclock VM needs condenser headroom in the
-			// tank, not just core headroom on the server.
-			reason = reasonThermal
-		}
-		if reason == "" {
-			resp.Eligible = append(resp.Eligible, ref)
-		} else {
-			resp.Failed = append(resp.Failed, api.FilterFailure{Server: ref, Reason: reason})
-		}
-	}
-	return resp, nil
-}
-
-// prioritizeLocked scores candidates 0–100 from the live simulation
-// under the daemon lock: packing headroom after placement blended with
-// remaining wear credit (a server with slack in both can absorb bursts
-// by overclocking instead of degrading). The snapshot path in view.go
-// replicates this arithmetic expression for expression.
-func (d *Daemon) prioritizeLocked(req api.PrioritizeRequest) (api.PrioritizeResponse, error) {
-	v, err := vmFromSpec(req.VM)
-	if err != nil {
-		return api.PrioritizeResponse{}, err
-	}
-	pol := d.sim.Cluster().Policy
-	resp := api.PrioritizeResponse{Vers: api.Version}
-	for _, i := range req.Servers {
-		if i < 0 || i >= d.sim.ServerCount() {
-			return api.PrioritizeResponse{}, errf(http.StatusBadRequest, "server %d out of range", i)
-		}
-		info := d.sim.Server(i)
-		capV := float64(info.PCores)
-		if pol.CPUOversubRatio > 0 && info.Overclockable {
-			capV = math.Floor(capV * (1 + pol.CPUOversubRatio))
-		}
-		headroom := (capV - float64(info.VCoresUsed) - float64(v.Type.VCores)) / capV
-		headroom = math.Max(0, math.Min(1, headroom))
-		credit := 1.0
-		if info.WearProRata > 0 {
-			credit = math.Max(0, math.Min(1, 1-info.WearUsed/info.WearProRata))
-		}
-		resp.Scores = append(resp.Scores, api.HostScore{
-			Server: api.ServerRef{Index: info.Index, ID: info.ID, Tank: info.Tank},
-			Score:  100 * (0.6*headroom + 0.4*credit),
-		})
-	}
-	sort.SliceStable(resp.Scores, func(a, b int) bool {
-		if resp.Scores[a].Score != resp.Scores[b].Score {
-			return resp.Scores[a].Score > resp.Scores[b].Score
-		}
-		return resp.Scores[a].Server.Index < resp.Scores[b].Server.Index
-	})
-	return resp, nil
-}
-
 // place binds a VM through the cluster packer with trace-identical
 // rejection accounting.
 func (d *Daemon) place(req api.PlaceRequest) (api.PlaceResponse, error) {
@@ -588,40 +502,6 @@ func (d *Daemon) step(ctx context.Context, req api.StepRequest) (api.StepRespons
 	return api.StepResponse{Vers: api.Version, SimTimeS: simT, StepsRun: run}, nil
 }
 
-// statusLocked snapshots the fleet KPIs from the live simulation under
-// the daemon lock (cumulative counts from the run's report plus live
-// row/thermal state) — the oracle for the snapshot status path.
-func (d *Daemon) statusLocked() api.FleetStatus {
-	rep := d.sim.Report()
-	oc := 0
-	maxBath := 0.0
-	for i := 0; i < d.sim.TankCount(); i++ {
-		oc += d.sim.TankOverclocked(i)
-		if b := d.sim.TankBathC(i); b > maxBath {
-			maxBath = b
-		}
-	}
-	return api.FleetStatus{
-		Vers:                 api.Version,
-		SimTimeS:             d.sim.Now(),
-		StepS:                d.sim.StepS(),
-		Mode:                 d.mode,
-		Servers:              d.sim.ServerCount(),
-		Tanks:                d.sim.TankCount(),
-		PlacedVMs:            len(d.vms),
-		Density:              d.sim.Cluster().Density(),
-		Rejected:             rep.Rejected,
-		RowPowerW:            d.sim.RowPowerW(),
-		MaxBathC:             rep.MaxBathC,
-		Overclocked:          oc,
-		Grants:               rep.TotalGrants,
-		Cancelled:            rep.CancelledOverclocks,
-		CapEvents:            rep.CapEvents,
-		OverclockServerHours: rep.OverclockServerHours,
-		MeanWearUsed:         rep.MeanWearUsed,
-	}
-}
-
 // FinalReport renders the closing fleet report for the shutdown log.
 func (d *Daemon) FinalReport() string {
 	d.mu.Lock()
@@ -629,47 +509,24 @@ func (d *Daemon) FinalReport() string {
 	return d.sim.Report().String()
 }
 
-// Handler builds the daemon's route table. The read endpoints serve
-// from the published snapshot (view.go); with lockedReads set they
-// fall back to the live-simulation-under-mutex path instead.
+// Handler builds the daemon's route table: the read endpoints serve
+// from the published snapshot (view.go), the write endpoints from the
+// live simulation under the daemon lock.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
-	if d.lockedReads {
-		mux.HandleFunc("/v1/filter", post(d, func(r api.FilterRequest) string { return r.Vers },
-			locked(d, d.filterLocked)))
-		mux.HandleFunc("/v1/prioritize", post(d, func(r api.PrioritizeRequest) string { return r.Vers },
-			locked(d, d.prioritizeLocked)))
-		mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
-			d.requests.Inc()
-			if r.Method != http.MethodGet {
-				writeError(w, http.StatusMethodNotAllowed, "GET only")
-				return
-			}
-			d.mu.Lock()
-			st := d.statusLocked()
-			d.mu.Unlock()
-			writeJSON(w, http.StatusOK, st)
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintln(w, "ok")
-		})
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			d.requests.Inc()
-			snap := d.reg.Snapshot()
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = snap.WritePrometheus(w, "ocd")
-		})
-	} else {
-		mux.HandleFunc("/v1/filter", d.serveFilter)
-		mux.HandleFunc("/v1/prioritize", d.servePrioritize)
-		mux.HandleFunc("/v1/status", d.serveStatus)
-		mux.HandleFunc("/healthz", d.serveHealthz)
-		mux.HandleFunc("/metrics", d.serveMetrics)
-	}
+	mux.HandleFunc("/v1/filter", d.serveFilter)
+	mux.HandleFunc("/v1/prioritize", d.servePrioritize)
+	mux.HandleFunc("/v1/status", d.serveStatus)
+	mux.HandleFunc("/healthz", d.serveHealthz)
+	mux.HandleFunc("/metrics", d.serveMetrics)
+	d.writeRoutes(mux)
+	return mux
+}
+
+// writeRoutes registers the mutating endpoints on mux.
+func (d *Daemon) writeRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/place", post(d, func(r api.PlaceRequest) string { return r.Vers }, locked(d, d.place)))
 	mux.HandleFunc("/v1/remove", post(d, func(r api.RemoveRequest) string { return r.Vers }, locked(d, d.remove)))
 	mux.HandleFunc("/v1/overclock", post(d, func(r api.OverclockGrantRequest) string { return r.Vers }, locked(d, d.overclock)))
 	mux.HandleFunc("/v1/step", post(d, func(r api.StepRequest) string { return r.Vers }, d.step))
-	return mux
 }

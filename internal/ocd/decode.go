@@ -10,7 +10,7 @@ package ocd
 // else by returning false, routing the body through strictDecode,
 // which replays the reference json.Decoder pipeline over the same
 // bytes. Declining is always safe: the fallback produces the exact
-// response (success or error, byte for byte) the locked path would,
+// response (success or error, byte for byte) post() would,
 // so the fast parser only ever has to be right about inputs it
 // accepts, never about how to reject inputs it does not understand.
 //
@@ -29,7 +29,10 @@ package ocd
 //     interned so decoding allocates nothing.
 //
 // TestDecodeFastMatchesStrict differentially pins the whole contract
-// against encoding/json over valid and malformed corpora.
+// against encoding/json over valid and malformed corpora, and
+// FuzzDecodeFastMatchesStrict extends it to fuzzed inputs. Why the
+// parser exists at all (strict decoding breaks the read plane's
+// 0 allocs/request budget) is recorded in DESIGN.md "Request decoding".
 
 import (
 	"bytes"

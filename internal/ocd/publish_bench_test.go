@@ -4,8 +4,8 @@ package ocd
 // batch) visible to the read plane. Each benchmark has two arms. The
 // plain arm is the shipped path: views chain through the snapshot's
 // chunked copy-on-write columns, so a publish re-materializes only the
-// chunks that mutations dirtied. The FullCopy arm flips
-// SetFullCopyPublish, breaking the chain so every publish rebuilds
+// chunks that mutations dirtied. The FullCopy arm publishes through
+// publishFullCopyLocked into a fresh view, so every publish rebuilds
 // every column — the pre-COW publication cost, kept live so the A/B
 // never goes stale. bench_baseline.json carries the FullCopy arm's
 // numbers as the plain arm's baseline, so `make bench` reports the COW
@@ -26,7 +26,7 @@ import (
 
 // publishDaemon builds a stepped daemon over n servers, packed ~60%
 // through the real place path, with one view published.
-func publishDaemon(b *testing.B, n int, fullCopy bool) *Daemon {
+func publishDaemon(b *testing.B, n int) *Daemon {
 	b.Helper()
 	cfg := dcsim.DefaultConfig()
 	cfg.Servers = n
@@ -35,7 +35,6 @@ func publishDaemon(b *testing.B, n int, fullCopy bool) *Daemon {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d.SetFullCopyPublish(fullCopy)
 	d.mu.Lock()
 	for i := 0; i < n*3/5; i++ {
 		resp, err := d.place(api.PlaceRequest{VM: api.VMSpec{
@@ -51,12 +50,22 @@ func publishDaemon(b *testing.B, n int, fullCopy bool) *Daemon {
 	return d
 }
 
+// publishArm picks a benchmark arm's publication: the chained
+// production path, or the full-copy baseline.
+func publishArm(d *Daemon, fullCopy bool) func() {
+	if fullCopy {
+		return d.publishFullCopyLocked
+	}
+	return d.publishLocked
+}
+
 // benchPublishPlace measures one write-plane cycle: a single placement
 // (or its departure) plus the snapshot publication that makes it
 // visible. In the chained arm only the mutated server's chunk
 // re-materializes; in the full-copy arm the whole fleet does.
 func benchPublishPlace(b *testing.B, n int, fullCopy bool) {
-	d := publishDaemon(b, n, fullCopy)
+	d := publishDaemon(b, n)
+	publish := publishArm(d, fullCopy)
 	id := 1 << 30
 	placed := false
 	b.ReportAllocs()
@@ -78,7 +87,7 @@ func benchPublishPlace(b *testing.B, n int, fullCopy bool) {
 			}
 		}
 		placed = !placed
-		d.publishLocked()
+		publish()
 		d.mu.Unlock()
 	}
 }
@@ -90,7 +99,8 @@ func benchPublishPlace(b *testing.B, n int, fullCopy bool) {
 // shares the untouched placement columns; the full-copy arm rebuilds
 // everything.
 func benchPublishStep(b *testing.B, n int, fullCopy bool) {
-	d := publishDaemon(b, n, fullCopy)
+	d := publishDaemon(b, n)
+	publish := publishArm(d, fullCopy)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,7 +108,7 @@ func benchPublishStep(b *testing.B, n int, fullCopy bool) {
 		d.mu.Lock()
 		d.sim.Step()
 		b.StartTimer()
-		d.publishNowLocked()
+		publish()
 		d.mu.Unlock()
 	}
 }

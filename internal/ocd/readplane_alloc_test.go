@@ -12,7 +12,7 @@ func TestReadPlaneZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's sync.Pool drops items at random")
 	}
-	d := benchDaemon(t, 1000, false)
+	d := benchDaemon(t, 1000)
 	for _, e := range []struct {
 		name string
 		e    *endpoint

@@ -8,8 +8,8 @@ package ocd
 // 0 allocs/op contract is enforced by TestReadPlaneZeroAllocs.
 // BenchmarkServingMixedReadWhileStepping is the
 // headline A/B: parallel readers against a stepper that holds the
-// write lock, once with lockedReads (the old serving path) and once
-// with snapshot reads.
+// write lock, once through lockedHandler (the old serving path) and
+// once with snapshot reads.
 
 import (
 	"bytes"
@@ -49,7 +49,7 @@ func (b *benchBody) Close() error               { return nil }
 // response shape. The per-endpoint benchmarks use 1000 servers (the
 // 0 allocs/op gate size); the mixed benchmark scales up to fleet size,
 // where the O(fleet) cost of locked reads is the story.
-func benchDaemon(b testing.TB, servers int, locked bool) *Daemon {
+func benchDaemon(b testing.TB, servers int) *Daemon {
 	b.Helper()
 	cfg := dcsim.DefaultConfig()
 	cfg.Servers = servers
@@ -58,7 +58,6 @@ func benchDaemon(b testing.TB, servers int, locked bool) *Daemon {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d.lockedReads = locked
 	h := d.Handler()
 	for i := 0; i < servers*3/5; i++ {
 		body := `{"vm":{"id":` + strconv.Itoa(i) + `,"vcores":8,"memory_gb":32,"avg_util":0.6}}`
@@ -67,11 +66,6 @@ func benchDaemon(b testing.TB, servers int, locked bool) *Daemon {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("prefill place %d: HTTP %d %s", i, rec.Code, rec.Body.String())
 		}
-	}
-	if !locked {
-		d.mu.Lock()
-		d.publishLocked()
-		d.mu.Unlock()
 	}
 	return d
 }
@@ -129,7 +123,7 @@ func (e *endpoint) serve() int {
 // benchServe measures one snapshot endpoint over a fleet of the given
 // size, reporting the response size alongside the time.
 func benchServe(b *testing.B, servers int, method, path string, payload []byte, fn func(*Daemon, http.ResponseWriter, *http.Request)) {
-	e := newEndpoint(benchDaemon(b, servers, false), method, path, payload, fn)
+	e := newEndpoint(benchDaemon(b, servers), method, path, payload, fn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,8 +170,11 @@ func BenchmarkServingMixedReadWhileStepping(b *testing.B) {
 }
 
 func benchMixed(b *testing.B, locked bool) {
-	d := benchDaemon(b, 4000, locked)
+	d := benchDaemon(b, 4000)
 	h := d.Handler()
+	if locked {
+		h = lockedHandler(d)
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

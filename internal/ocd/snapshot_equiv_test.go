@@ -5,12 +5,12 @@ package ocd
 // their Handlers with an identical request stream — mutations included
 // — and every read response (status line, Content-Type, body) must
 // match byte for byte. One daemon serves reads from published
-// snapshots; the twin has lockedReads set, routing the same endpoints
-// through the pre-change mutex-and-live-Sim path. Because the write
-// plane is shared code and deterministic, the twins stay in lockstep,
-// so any divergence is the read plane's fault: a snapshot field copied
-// wrong, a scoring expression drifting, a decode error shaped
-// differently, an exposition byte out of place.
+// snapshots; the twin is served by lockedHandler, routing the same
+// endpoints through the pre-change mutex-and-live-Sim path. Because
+// the write plane is shared code and deterministic, the twins stay in
+// lockstep, so any divergence is the read plane's fault: a snapshot
+// field copied wrong, a scoring expression drifting, a decode error
+// shaped differently, an exposition byte out of place.
 
 import (
 	"bytes"
@@ -27,9 +27,9 @@ import (
 )
 
 // twinDaemons builds the snapshot daemon and its locked-reads twin
-// over identical fleets. Telemetry registries carry only the ocd scope
-// (no dcsim wall-clock histograms), so /metrics bodies are
-// deterministic and comparable.
+// over identical fleets; serve the twin through lockedHandler.
+// Telemetry registries carry only the ocd scope (no dcsim wall-clock
+// histograms), so /metrics bodies are deterministic and comparable.
 func twinDaemons(t *testing.T, cfg dcsim.Config) (snap, locked *Daemon) {
 	t.Helper()
 	d1, err := New(cfg, ModeStepped, telemetry.NewRegistry())
@@ -40,7 +40,6 @@ func twinDaemons(t *testing.T, cfg dcsim.Config) (snap, locked *Daemon) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.lockedReads = true
 	return d1, d2
 }
 
@@ -66,7 +65,7 @@ func TestSnapshotMatchesLockedReads(t *testing.T) {
 	cfg := testFleet()
 	cfg.FeederBudgetW = 2100 // just above idle draw: capping and denial paths engage
 	dSnap, dLocked := twinDaemons(t, cfg)
-	hSnap, hLocked := dSnap.Handler(), dLocked.Handler()
+	hSnap, hLocked := dSnap.Handler(), lockedHandler(dLocked)
 
 	post := func(path, body string) {
 		t.Helper()
@@ -219,12 +218,12 @@ func TestSnapshotMatchesLockedReads(t *testing.T) {
 	}
 }
 
-// TestDecodeFastMatchesStrict differentially pins the fast parser
-// against encoding/json at the parser level: for every corpus entry
-// the fast path either declines or produces exactly the struct the
-// strict pipeline does.
-func TestDecodeFastMatchesStrict(t *testing.T) {
-	filterBodies := []string{
+// Decoder corpora shared by TestDecodeFastMatchesStrict and the seed
+// set of FuzzDecodeFastMatchesStrict.
+var (
+	// decodeFilterBodies are common wire forms the fast filter parser
+	// must accept.
+	decodeFilterBodies = []string{
 		`{"version":"v1","vm":{"id":9,"vcores":4,"memory_gb":16,"class":"high-perf","avg_util":0.45,"scalable_fraction":0.6}}`,
 		`{"vm":{"id":-3,"vcores":1,"memory_gb":0.5,"avg_util":1}}`,
 		`{}`,
@@ -235,8 +234,38 @@ func TestDecodeFastMatchesStrict(t *testing.T) {
 		`{"version":"","vm":{"id":1,"vcores":4,"memory_gb":16}}`,
 		`{"vm":{"id":1,"vcores":4,"memory_gb":16,"class":"harvest"}}`,
 		`{"vm":{"id":1,"vcores":4,"memory_gb":-0.0}}`,
+		`{"vm":{"id":9223372036854775807,"vcores":-9223372036854775808,"memory_gb":16}}`,
 	}
-	for _, body := range filterBodies {
+	// decodePrioritizeBodies are common wire forms the fast prioritize
+	// parser must accept.
+	decodePrioritizeBodies = []string{
+		`{"version":"v1","vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[0,5,3]}`,
+		`{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[]}`,
+		`{"servers":[1],"servers":[7,8,9]}`,
+		`{"servers":[ 0 , 1 ]}`,
+	}
+	// decodeDeclinedBodies must be DECLINED by both fast parsers (never
+	// mis-parsed): inputs the strict pipeline rejects, plus valid JSON
+	// outside the fast subset.
+	decodeDeclinedBodies = []string{
+		``, `null`, `5`, `"x"`, `[]`, `{`, `{"vm":}`,
+		`{"vm":{"id":1}} x`, `{"vm":{"id":1}}{"vm":{}}`,
+		`{"vm":{"id":1.5}}`, `{"vm":{"id":1e2}}`, `{"vm":{"id":01}}`,
+		`{"vm":{"id":+1}}`, `{"vm":{"id":-}}`, `{"vm":{"id":1.}}`,
+		`{"vm":{"id":.5}}`, `{"vm":{"id":1e}}`, `{"vm":{"id":00}}`,
+		`{"unknown":1}`, `{"vm":{"weird":1}}`, `{"vm":null}`,
+		`{"version":null}`,
+		`{"vm":{"class":"a\"b"}}`, `{"vm":{"id":1},}`,
+		`{"vm":{"class":"café"}}`,
+	}
+)
+
+// TestDecodeFastMatchesStrict differentially pins the fast parser
+// against encoding/json at the parser level: for every corpus entry
+// the fast path either declines or produces exactly the struct the
+// strict pipeline does.
+func TestDecodeFastMatchesStrict(t *testing.T) {
+	for _, body := range decodeFilterBodies {
 		var fast, strict api.FilterRequest
 		if !parseFilterRequest([]byte(body), &fast) {
 			t.Fatalf("fast parser declined the common wire form %q", body)
@@ -249,13 +278,7 @@ func TestDecodeFastMatchesStrict(t *testing.T) {
 		}
 	}
 
-	prioritizeBodies := []string{
-		`{"version":"v1","vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[0,5,3]}`,
-		`{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[]}`,
-		`{"servers":[1],"servers":[7,8,9]}`,
-		`{"servers":[ 0 , 1 ]}`,
-	}
-	for _, body := range prioritizeBodies {
+	for _, body := range decodePrioritizeBodies {
 		fast := api.PrioritizeRequest{Servers: make([]int, 0, 16)}
 		var strict api.PrioritizeRequest
 		if !parsePrioritizeRequest([]byte(body), &fast) {
@@ -275,20 +298,7 @@ func TestDecodeFastMatchesStrict(t *testing.T) {
 		}
 	}
 
-	// Everything here must be DECLINED (never mis-parsed): inputs the
-	// strict pipeline rejects, plus valid JSON outside the fast subset.
-	declined := []string{
-		``, `null`, `5`, `"x"`, `[]`, `{`, `{"vm":}`,
-		`{"vm":{"id":1}} x`, `{"vm":{"id":1}}{"vm":{}}`,
-		`{"vm":{"id":1.5}}`, `{"vm":{"id":1e2}}`, `{"vm":{"id":01}}`,
-		`{"vm":{"id":+1}}`, `{"vm":{"id":-}}`, `{"vm":{"id":1.}}`,
-		`{"vm":{"id":.5}}`, `{"vm":{"id":1e}}`, `{"vm":{"id":00}}`,
-		`{"unknown":1}`, `{"vm":{"weird":1}}`, `{"vm":null}`,
-		`{"version":null}`,
-		`{"vm":{"class":"a\"b"}}`, `{"vm":{"id":1},}`,
-		`{"vm":{"class":"café"}}`,
-	}
-	for _, body := range declined {
+	for _, body := range decodeDeclinedBodies {
 		var req api.FilterRequest
 		if parseFilterRequest([]byte(body), &req) {
 			t.Errorf("fast parser accepted %q; must decline to the strict fallback", body)

@@ -5,9 +5,11 @@ package ocd
 // fleetView, with zero locking and zero steady-state allocations.
 //
 // Correctness contract: every handler here must produce bytes
-// identical to its locked oracle in daemon.go when the view was
-// published at the same simulated instant — TestSnapshotMatchesLockedReads
-// pins that equivalence response by response. The allocation contract
+// identical to its locked oracle (locked_oracle_test.go: the same
+// query answered from the live simulation under the daemon lock) when
+// the view was published at the same simulated instant —
+// TestSnapshotMatchesLockedReads pins that equivalence response by
+// response. The allocation contract
 // (0 allocs/op once scratch is warm) is pinned by
 // TestReadPlaneZeroAllocs.
 //
@@ -71,18 +73,10 @@ type fleetView struct {
 // column chunk that no mutation dirtied since the last publish, so a
 // one-VM write republishes in O(dirty chunks) instead of O(fleet). The
 // previous view is never written — readers holding it are undisturbed.
-// With fullCopyPublish set the chain is broken every time and the view
-// materializes from scratch: the pre-COW publication cost, kept live
-// as the benchmark baseline.
 func (d *Daemon) publishLocked() {
-	if d.lockedReads {
-		return
-	}
 	v := &fleetView{}
-	if !d.fullCopyPublish {
-		if prev := d.snap.Load(); prev != nil {
-			v.FleetSnapshot = prev.FleetSnapshot
-		}
+	if prev := d.snap.Load(); prev != nil {
+		v.FleetSnapshot = prev.FleetSnapshot
 	}
 	d.sim.Snapshot(&v.FleetSnapshot)
 	v.placedVMs = len(d.vms)
@@ -109,7 +103,7 @@ func (p *outputProxy) Write(b []byte) (int, error) { return p.w.Write(b) }
 // hostScoreSorter is the typed sort.Interface for prioritize scores:
 // score descending, fleet index ascending. The order is total (index
 // breaks every tie), so any stable sort yields the same permutation as
-// the locked path's sort.SliceStable — and a pointer receiver converts
+// locked oracle's sort.SliceStable — and a pointer receiver converts
 // to sort.Interface without allocating, where sort.Slice's closure
 // would.
 type hostScoreSorter struct{ s []api.HostScore }
@@ -151,7 +145,7 @@ func newServScratch() *servScratch {
 }
 
 // writeJSON encodes v through the scratch's pooled encoder, matching
-// the locked path's writeJSON byte for byte (same encoder settings,
+// the package-level writeJSON byte for byte (same encoder settings,
 // same trailing newline; the 200 status is implicit).
 func (sc *servScratch) writeJSON(w http.ResponseWriter, v any) {
 	w.Header()["Content-Type"] = jsonCT
@@ -166,7 +160,7 @@ func (sc *servScratch) writeJSON(w http.ResponseWriter, v any) {
 }
 
 // readBody buffers the request body into the scratch, enforcing the
-// same size cap — with the same error response — as the locked path's
+// same size cap — with the same error response — as post's
 // http.MaxBytesReader. Returns false with the response written.
 func (sc *servScratch) readBody(w http.ResponseWriter, r *http.Request) bool {
 	sc.body = sc.body[:0]
@@ -192,7 +186,7 @@ func (sc *servScratch) readBody(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // writeAPIError renders a handler error with its apiError status,
-// exactly as post() does on the locked path.
+// exactly as post() does on the write routes.
 func writeAPIError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	if ae, ok := err.(*apiError); ok {
@@ -201,8 +195,9 @@ func writeAPIError(w http.ResponseWriter, err error) {
 	writeError(w, code, err.Error())
 }
 
-// serveFilter answers /v1/filter from the published view: the same
-// eligibility walk as filterLocked, over the columnar export.
+// serveFilter answers /v1/filter from the published view: the
+// cluster's eligibility walk (cluster.Explain) over the columnar
+// export.
 func (d *Daemon) serveFilter(w http.ResponseWriter, r *http.Request) {
 	d.requests.Inc()
 	if r.Method != http.MethodPost {
@@ -339,9 +334,10 @@ func reasonSuffix(reason string) string {
 }
 
 // servePrioritize answers /v1/prioritize from the published view,
-// replicating prioritizeLocked's scoring arithmetic expression for
-// expression (the fleet is spec-uniform, so the capacity term hoists
-// out of the loop).
+// scoring candidates 0–100: packing headroom after placement blended
+// with remaining wear credit (a server with slack in both can absorb
+// bursts by overclocking instead of degrading). The fleet is
+// spec-uniform, so the capacity term hoists out of the loop.
 func (d *Daemon) servePrioritize(w http.ResponseWriter, r *http.Request) {
 	d.requests.Inc()
 	if r.Method != http.MethodPost {
@@ -435,16 +431,15 @@ func (d *Daemon) serveStatus(w http.ResponseWriter, r *http.Request) {
 	sc.writeJSON(w, &sc.status)
 }
 
-// serveHealthz mirrors the locked liveness probe: any method, no
-// request accounting, a constant body.
+// serveHealthz is the liveness probe: any method, no request
+// accounting, a constant body.
 func (d *Daemon) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header()["Content-Type"] = textCT
 	_, _ = w.Write(healthzBody)
 }
 
 // serveMetrics renders the Prometheus exposition through a pooled
-// plan-caching renderer, byte-identical to the locked path's
-// Snapshot().WritePrometheus.
+// plan-caching renderer.
 func (d *Daemon) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	d.requests.Inc()
 	rend := d.renderers.Get().(*telemetry.PromRenderer)

@@ -94,9 +94,8 @@ const (
 // foreign events (owned by a different Simulation) are detected.
 const (
 	locNone     = -1 // not queued
-	locHeap     = -2 // owned by the heap kernel (slot in Event.idx)
-	locDrain    = -3 // wheelQueue.drain (slot in Event.idx)
-	locOverflow = -4 // wheelQueue.overflow (slot in Event.idx)
+	locDrain    = -2 // wheelQueue.drain (slot in Event.idx)
+	locOverflow = -3 // wheelQueue.overflow (slot in Event.idx)
 	// loc >= 0: wheel bucket level*wheelSize + bucket (slot in Event.idx)
 )
 
@@ -109,9 +108,10 @@ type wheelLevel struct {
 	buckets [wheelSize][]*Event
 }
 
-// wheelQueue is a hierarchical timing wheel with the same observable
-// ordering as the binary heap: events fire in strictly increasing
-// (at, seq) order.
+// wheelQueue is a hierarchical timing wheel: events fire in strictly
+// increasing (at, seq) order. Cancel stays lazy (tombstones are
+// drained by the run loop), so count includes dead events until they
+// pass the pop point.
 //
 // Determinism argument: cursor partitions tick space. Every queued
 // event with tick < cursor sits in drain, which is kept sorted by
@@ -123,8 +123,9 @@ type wheelLevel struct {
 // move events between levels without reordering the tick partition.
 // Within a tick, (at, seq) is a total order (seq is unique), so the
 // sort result is independent of insertion order. The global firing
-// sequence is therefore exactly the (at, seq) ascending order the
-// heap produces — bit-identical, which TestWheelMatchesHeap pins.
+// sequence is therefore exactly the (at, seq) ascending order a
+// binary heap produces — bit-identical, which TestWheelMatchesHeap
+// pins against a container/heap reference kernel.
 type wheelQueue struct {
 	origin float64 // virtual time of tick 0 (changes only on rebase)
 	// cursor is the smallest tick not yet promoted into drain.

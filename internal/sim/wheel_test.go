@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -43,42 +45,180 @@ func traceDelta(b uint8) float64 {
 	}
 }
 
-// runTrace drives one kernel through a trace and returns the exact
-// firing log (event ids in firing order) plus final clock state.
-func runTrace(impl QueueImpl, ops []traceOp) (log []int, now Time, fired uint64) {
-	s := NewWith(impl)
-	var evs []*Event
-	var alive []bool
+// traceKernel is what runTrace drives: a kernel whose events are
+// named by their schedule order.
+type traceKernel interface {
+	now() Time
+	schedule(id int, at Time)
+	live(id int) bool // scheduled, not yet fired or cancelled
+	cancel(id int)
+	reschedule(id int, at Time)
+	runUntil(end Time)
+	result() traceResult
+}
+
+// traceResult is what the differential compares: the firing order
+// (event ids) and the final clock state.
+type traceResult struct {
+	log   []int
+	now   Time
+	fired uint64
+}
+
+// runTrace interprets ops against k. The numeric fields are taken
+// modulo the live state, so every op sequence is a legal trace.
+func runTrace(k traceKernel, ops []traceOp) traceResult {
+	n := 0
 	schedule := func(at Time) {
-		id := len(evs)
-		evs = append(evs, nil)
-		alive = append(alive, true)
-		evs[id] = s.Schedule(at, func(*Simulation) {
-			log = append(log, id)
-			alive[id] = false
-			evs[id] = nil
-		})
+		k.schedule(n, at)
+		n++
 	}
 	schedule(0)
 	for _, op := range ops {
 		switch op.Kind % 5 {
 		case 0, 1: // weight toward scheduling
-			schedule(s.Now() + Time(traceDelta(op.Delta)))
+			schedule(k.now() + Time(traceDelta(op.Delta)))
 		case 2:
-			if i := int(op.Which) % len(evs); alive[i] && !evs[i].Cancelled() {
-				evs[i].Cancel()
-				alive[i] = false
+			if i := int(op.Which) % n; k.live(i) {
+				k.cancel(i)
 			}
 		case 3:
-			if i := int(op.Which) % len(evs); alive[i] && !evs[i].Cancelled() {
-				s.Reschedule(evs[i], s.Now()+Time(traceDelta(op.Delta)))
+			if i := int(op.Which) % n; k.live(i) {
+				k.reschedule(i, k.now()+Time(traceDelta(op.Delta)))
 			}
 		case 4:
-			s.RunUntil(s.Now() + Time(traceDelta(op.Delta)))
+			k.runUntil(k.now() + Time(traceDelta(op.Delta)))
 		}
 	}
-	s.Run()
-	return log, s.Now(), s.EventsFired()
+	k.runUntil(Time(math.Inf(1)))
+	return k.result()
+}
+
+// wheelTrace adapts the timing-wheel Simulation to traceKernel.
+type wheelTrace struct {
+	s   *Simulation
+	evs []*Event // nil once fired or cancelled (the struct is recycled)
+	log []int
+}
+
+func (w *wheelTrace) now() Time { return w.s.Now() }
+func (w *wheelTrace) schedule(id int, at Time) {
+	w.evs = append(w.evs, w.s.Schedule(at, func(*Simulation) {
+		w.log = append(w.log, id)
+		w.evs[id] = nil
+	}))
+}
+func (w *wheelTrace) live(id int) bool           { return w.evs[id] != nil }
+func (w *wheelTrace) cancel(id int)              { w.evs[id].Cancel(); w.evs[id] = nil }
+func (w *wheelTrace) reschedule(id int, at Time) { w.s.Reschedule(w.evs[id], at) }
+func (w *wheelTrace) runUntil(end Time)          { w.s.RunUntil(end) }
+func (w *wheelTrace) result() traceResult {
+	return traceResult{w.log, w.s.Now(), w.s.EventsFired()}
+}
+
+// refEvent is one event of the reference kernel.
+type refEvent struct {
+	at   Time
+	seq  uint64
+	id   int
+	idx  int // heap slot; -1 once popped
+	dead bool
+}
+
+// refQueue is a container/heap min-heap ordered by (at, seq).
+type refQueue []*refEvent
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q refQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].idx = i
+	q[j].idx = j
+}
+func (q *refQueue) Push(x any) {
+	e := x.(*refEvent)
+	e.idx = len(*q)
+	*q = append(*q, e)
+}
+func (q *refQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	e.idx = -1
+	*q = old[:len(old)-1]
+	return e
+}
+
+// refKernel is the binary-heap reference the timing wheel is held to.
+// It follows the kernel's ordering rules in the plainest form: events
+// fire in (at, seq) order, seq bumps on every schedule and retime,
+// cancel is lazy (a dead event is drained when it reaches the top),
+// and a finite run horizon beyond the last event moves the clock to
+// the horizon.
+type refKernel struct {
+	clock Time
+	seq   uint64
+	q     refQueue
+	evs   []*refEvent
+	fired uint64
+	log   []int
+}
+
+func (k *refKernel) now() Time { return k.clock }
+
+func (k *refKernel) schedule(id int, at Time) {
+	e := &refEvent{at: at, seq: k.seq, id: id}
+	k.seq++
+	heap.Push(&k.q, e)
+	k.evs = append(k.evs, e)
+}
+
+func (k *refKernel) live(id int) bool { return k.evs[id].idx >= 0 && !k.evs[id].dead }
+func (k *refKernel) cancel(id int)    { k.evs[id].dead = true }
+
+func (k *refKernel) reschedule(id int, at Time) {
+	e := k.evs[id]
+	e.at = at
+	e.seq = k.seq
+	k.seq++
+	heap.Fix(&k.q, e.idx)
+}
+
+func (k *refKernel) runUntil(end Time) {
+	for len(k.q) > 0 && k.q[0].at <= end {
+		e := heap.Pop(&k.q).(*refEvent)
+		if e.dead {
+			continue
+		}
+		k.clock = e.at
+		k.fired++
+		k.log = append(k.log, e.id)
+	}
+	if !math.IsInf(float64(end), 1) && end > k.clock {
+		k.clock = end
+	}
+}
+
+func (k *refKernel) result() traceResult { return traceResult{k.log, k.clock, k.fired} }
+
+// diffTrace runs ops on both kernels and describes the first
+// divergence, or returns "" when they agree exactly.
+func diffTrace(ops []traceOp) string {
+	w, r := runTrace(&wheelTrace{s: New()}, ops), runTrace(&refKernel{}, ops)
+	if w.now != r.now || w.fired != r.fired || len(w.log) != len(r.log) {
+		return fmt.Sprintf("wheel now=%v fired=%d n=%d; heap now=%v fired=%d n=%d",
+			w.now, w.fired, len(w.log), r.now, r.fired, len(r.log))
+	}
+	for i := range w.log {
+		if w.log[i] != r.log[i] {
+			return fmt.Sprintf("firing order diverges at %d: wheel %d, heap %d", i, w.log[i], r.log[i])
+		}
+	}
+	return ""
 }
 
 // TestWheelMatchesHeap is the differential gate for the timing-wheel
@@ -88,24 +228,45 @@ func runTrace(impl QueueImpl, ops []traceOp) (log []int, now Time, fired uint64)
 // wheel horizon.
 func TestWheelMatchesHeap(t *testing.T) {
 	f := func(ops []traceOp) bool {
-		wLog, wNow, wFired := runTrace(WheelQueue, ops)
-		hLog, hNow, hFired := runTrace(HeapQueue, ops)
-		if wNow != hNow || wFired != hFired || len(wLog) != len(hLog) {
-			t.Logf("wheel now=%v fired=%d n=%d; heap now=%v fired=%d n=%d",
-				wNow, wFired, len(wLog), hNow, hFired, len(hLog))
+		if d := diffTrace(ops); d != "" {
+			t.Log(d)
 			return false
-		}
-		for i := range wLog {
-			if wLog[i] != hLog[i] {
-				t.Logf("firing order diverges at %d: wheel %d, heap %d", i, wLog[i], hLog[i])
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// maxFuzzOps bounds one fuzz input's trace so every input runs in
+// milliseconds.
+const maxFuzzOps = 2048
+
+// FuzzWheelVsHeap is the native-fuzz form of TestWheelMatchesHeap: the
+// input is decoded four bytes per op (kind, which low, which high,
+// delta) into a trace, and the wheel must fire it exactly as the
+// reference heap does.
+func FuzzWheelVsHeap(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 3, 4, 0, 0, 4})                 // same-tick ties, then advance
+	f.Add([]byte{0, 0, 0, 6, 0, 0, 0, 255, 3, 1, 0, 1, 4, 0, 0, 255}) // overflow, +Inf, retime, run to +Inf
+	f.Add([]byte{0, 0, 0, 5, 1, 0, 0, 2, 2, 1, 0, 0, 3, 2, 0, 1, 4, 0, 0, 3, 0, 0, 0, 0})
+	f.Add([]byte{1, 0, 0, 1, 1, 0, 0, 2, 4, 0, 0, 1, 1, 0, 0, 1, 3, 1, 0, 0, 4, 0, 0, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := len(data) / 4
+		if n > maxFuzzOps {
+			n = maxFuzzOps
+		}
+		ops := make([]traceOp, n)
+		for i := range ops {
+			b := data[4*i:]
+			ops[i] = traceOp{Kind: b[0], Which: uint16(b[1]) | uint16(b[2])<<8, Delta: b[3]}
+		}
+		if d := diffTrace(ops); d != "" {
+			t.Fatal(d)
+		}
+	})
 }
 
 // TestWheelCursorCarry pins the block-boundary case: promoting the
@@ -188,31 +349,5 @@ func TestWheelInfiniteTimestamp(t *testing.T) {
 	s.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("firing order %v, want [1 2]", order)
-	}
-}
-
-// TestWheelForeignEventPanics: rescheduling an event owned by the heap
-// kernel on a wheel kernel (and vice versa) must panic, same as any
-// other foreign event.
-func TestWheelForeignEventPanics(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		mine, them QueueImpl
-	}{
-		{"heap event on wheel", WheelQueue, HeapQueue},
-		{"wheel event on heap", HeapQueue, WheelQueue},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := NewWith(tc.mine)
-			other := NewWith(tc.them)
-			e := other.Schedule(1, func(*Simulation) {})
-			s.Schedule(1, func(*Simulation) {})
-			defer func() {
-				if recover() == nil {
-					t.Fatal("foreign reschedule did not panic")
-				}
-			}()
-			s.Reschedule(e, 2)
-		})
 	}
 }

@@ -1,10 +1,12 @@
 package telemetry
 
-// Prometheus text exposition of a Snapshot: the bridge between the
+// Prometheus text exposition of a Registry: the bridge between the
 // simulation's in-process metrics and the scrape-based telemetry
 // pipelines real control planes are built on (the paper's placement
 // loop, and the Telemetry Aware Scheduling line of work, consume
-// exactly this format). The ocd daemon serves it at /metrics.
+// exactly this format). PromRenderer (promrender.go) writes it; the
+// ocd daemon serves it at /metrics. This file holds the naming and
+// formatting helpers.
 //
 // Mapping:
 //
@@ -19,8 +21,6 @@ package telemetry
 //     scope, so golden tests and diff-based scrape debugging work.
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,112 +65,6 @@ func escapeLabel(s string) string {
 // shortest round-trippable decimal.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// promSample is one (scope, suffix-labels, value) series point.
-type promSample struct {
-	scope  string
-	le     string // bucket bound for _bucket samples, "" otherwise
-	suffix string // "", "_total", "_bucket", "_sum", "_count"
-	value  string
-}
-
-// promFamily is one metric name with its TYPE and ordered samples.
-type promFamily struct {
-	name    string
-	kind    string // "counter", "gauge", "histogram"
-	samples []promSample
-}
-
-// WritePrometheus renders the snapshot in Prometheus text exposition
-// format under the namespace prefix ("" defaults to "immersionoc").
-// A nil snapshot writes nothing and returns nil.
-func (s *Snapshot) WritePrometheus(w io.Writer, namespace string) error {
-	if s == nil {
-		return nil
-	}
-	if namespace == "" {
-		namespace = "immersionoc"
-	}
-	namespace = promName(namespace)
-
-	fams := map[string]*promFamily{}
-	family := func(name, kind string) *promFamily {
-		full := namespace + "_" + promName(name)
-		f := fams[full]
-		if f == nil {
-			f = &promFamily{name: full, kind: kind}
-			fams[full] = f
-		}
-		return f
-	}
-
-	scopes := make([]string, 0, len(s.Scopes))
-	for name := range s.Scopes {
-		scopes = append(scopes, name)
-	}
-	sort.Strings(scopes)
-
-	for _, scope := range scopes {
-		ss := s.Scopes[scope]
-		for _, name := range sortedKeys(ss.Counters) {
-			f := family(name+"_total", "counter")
-			f.samples = append(f.samples, promSample{
-				scope: scope,
-				value: strconv.FormatUint(ss.Counters[name], 10),
-			})
-		}
-		for _, name := range sortedKeys(ss.Gauges) {
-			f := family(name, "gauge")
-			f.samples = append(f.samples, promSample{
-				scope: scope,
-				value: formatFloat(ss.Gauges[name]),
-			})
-		}
-		for _, name := range sortedKeys(ss.Histograms) {
-			h := ss.Histograms[name]
-			f := family(name, "histogram")
-			var cum uint64
-			for i, c := range h.Counts {
-				cum += c
-				le := "+Inf"
-				if i < len(h.Bounds) {
-					le = formatFloat(h.Bounds[i])
-				}
-				f.samples = append(f.samples, promSample{
-					scope: scope, suffix: "_bucket", le: le,
-					value: strconv.FormatUint(cum, 10),
-				})
-			}
-			f.samples = append(f.samples,
-				promSample{scope: scope, suffix: "_sum", value: formatFloat(h.Sum)},
-				promSample{scope: scope, suffix: "_count", value: strconv.FormatUint(h.Count, 10)})
-		}
-	}
-
-	names := make([]string, 0, len(fams))
-	for name := range fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	for _, name := range names {
-		f := fams[name]
-		if _, err := fmt.Fprintf(w, "# HELP %s %s %s from the immersionoc telemetry registry.\n# TYPE %s %s\n",
-			f.name, f.kind, strings.TrimPrefix(strings.TrimSuffix(f.name, "_total"), namespace+"_"), f.name, f.kind); err != nil {
-			return err
-		}
-		for _, sm := range f.samples {
-			labels := `scope="` + escapeLabel(sm.scope) + `"`
-			if sm.le != "" {
-				labels += `,le="` + escapeLabel(sm.le) + `"`
-			}
-			if _, err := fmt.Fprintf(w, "%s%s{%s} %s\n", f.name, sm.suffix, labels, sm.value); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // sortedKeys returns m's keys sorted.

@@ -49,12 +49,13 @@ ocd_step_wall_s_sum{scope="dcsim"} 5.0405
 ocd_step_wall_s_count{scope="dcsim"} 4
 `
 
-// TestWritePrometheusGolden pins the full text exposition for a fixed
-// registry: counters with _total, gauges, the cumulative histogram
-// series, sanitized names, scope labels, deterministic order.
+// TestWritePrometheusGolden pins the full text exposition PromRenderer
+// writes for a fixed registry: counters with _total, gauges, the
+// cumulative histogram series, sanitized names, scope labels,
+// deterministic order.
 func TestWritePrometheusGolden(t *testing.T) {
 	var b strings.Builder
-	if err := promFixture().Snapshot().WritePrometheus(&b, "ocd"); err != nil {
+	if err := NewPromRenderer(promFixture(), "ocd").Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.String(); got != promGolden {
@@ -69,8 +70,8 @@ var (
 	labelPairRe  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
 )
 
-// TestWritePrometheusLint validates the exposition the way promlint
-// does: every line parses, every name is legal, counters end in
+// TestWritePrometheusLint validates PromRenderer's exposition the way
+// promlint does: every line parses, every name is legal, counters end in
 // _total, every sample's base name has a preceding TYPE line, and
 // histogram bucket counts are cumulative and consistent with _count.
 func TestWritePrometheusLint(t *testing.T) {
@@ -79,7 +80,7 @@ func TestWritePrometheusLint(t *testing.T) {
 	reg.Scope("dcsim").Gauge("util.v8-large (burst)").Set(1)
 
 	var b strings.Builder
-	if err := reg.Snapshot().WritePrometheus(&b, "ocd"); err != nil {
+	if err := NewPromRenderer(reg, "ocd").Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -165,12 +166,17 @@ func scopeOf(labels string) string {
 	return ""
 }
 
-// TestWritePrometheusNilSnapshot pins that a nil snapshot (telemetry
-// off) writes nothing.
+// TestWritePrometheusNilSnapshot pins that telemetry off writes
+// nothing: a nil or Off registry's nil snapshot through the reference
+// writer, and the registry itself through PromRenderer.
 func TestWritePrometheusNilSnapshot(t *testing.T) {
-	var b strings.Builder
-	var s *Snapshot
-	if err := s.WritePrometheus(&b, "ocd"); err != nil || b.Len() != 0 {
-		t.Fatalf("nil snapshot: err=%v out=%q", err, b.String())
+	for _, reg := range []*Registry{nil, Off} {
+		var ref, got strings.Builder
+		if err := reg.Snapshot().WritePrometheus(&ref, "ocd"); err != nil || ref.Len() != 0 {
+			t.Fatalf("nil snapshot: err=%v out=%q", err, ref.String())
+		}
+		if err := NewPromRenderer(reg, "ocd").Render(&got); err != nil || got.Len() != 0 {
+			t.Fatalf("off registry: err=%v out=%q", err, got.String())
+		}
 	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // TestPromRendererMatchesSnapshot pins the cached renderer to the
-// snapshot path byte for byte, through value updates and through a
+// reference writer over a fresh Snapshot (promref_test.go) byte for
+// byte, through value updates and through a
 // shape change (new scope + new metrics) that forces a plan rebuild.
 func TestPromRendererMatchesSnapshot(t *testing.T) {
 	reg := promFixture()
