@@ -37,7 +37,9 @@ verify:
 # per-read cost is ~µs and the stepper cycle is ms-scale, so short runs
 # read scheduler noise); the publish benchmarks pin 100 (each op
 # rebuilds dirty snapshot chunks, and the FullCopy arms pay a full
-# 100k-server materialization per op).
+# 100k-server materialization per op); the cluster churn benchmark
+# pins 1000000 (one remove + place is a few hundred ns against a
+# 100k-server fleet built once).
 # Takes ~10 minutes: BenchmarkRunnerAll replays the evaluation 4 times.
 bench:
 	( $(GO) test -bench=BenchmarkKernel -benchtime=200000x -benchmem -run='^$$' ./internal/sim/ && \
@@ -46,8 +48,9 @@ bench:
 	  $(GO) test -bench='BenchmarkServing(Filter|Filter10k|Prioritize|Status|Metrics)$$' -benchtime=2000x -benchmem -run='^$$' ./internal/ocd/ && \
 	  $(GO) test -bench=BenchmarkServingMixedReadWhileStepping -benchtime=20000x -benchmem -run='^$$' ./internal/ocd/ && \
 	  $(GO) test -bench='BenchmarkPublish(Place|Step)(FullCopy)?$$' -benchtime=100x -benchmem -run='^$$' ./internal/ocd/ && \
+	  $(GO) test -bench=BenchmarkClusterChurn -benchtime=1000000x -benchmem -run='^$$' ./internal/cluster/ && \
 	  $(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' \
-	    $$($(GO) list ./... | grep -v -e internal/sim -e internal/queueing -e internal/telemetry -e internal/ocd) ) \
+	    $$($(GO) list ./... | grep -v -e internal/sim -e internal/queueing -e internal/telemetry -e internal/ocd -e internal/cluster) ) \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -out BENCH_10.json
 	@cat BENCH_10.json
 

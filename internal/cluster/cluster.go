@@ -7,6 +7,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"immersionoc/internal/cow"
@@ -44,8 +45,10 @@ type Server struct {
 	// vms holds the placed VMs sorted by ascending ID. A sorted slice
 	// instead of a map keeps iteration order deterministic without a
 	// per-read sort-and-copy, which is what lets fleet control loops
-	// walk allocations allocation-free.
-	vms       []*vm.VM
+	// walk allocations allocation-free. Each entry carries its VM's ID
+	// inline, so the binary search in attach/detach reads only this
+	// slice's backing array instead of one cold VM struct per probe.
+	vms       []vmSlot
 	vcoresUse int
 	memUse    float64
 	// expDemand is the expected concurrent core demand
@@ -53,6 +56,12 @@ type Server struct {
 	// on placement changes so control planes read it as a field
 	// instead of re-summing the allocation list every step.
 	expDemand float64
+}
+
+// vmSlot is one placed VM with its ID copied inline.
+type vmSlot struct {
+	id int
+	v  *vm.VM
 }
 
 // VCoresUsed returns allocated vcores.
@@ -78,38 +87,60 @@ func (s *Server) ExpectedDemand() float64 { return s.expDemand }
 // ForEachVM, which does not allocate.
 func (s *Server) VMsList() []*vm.VM {
 	out := make([]*vm.VM, len(s.vms))
-	copy(out, s.vms)
+	for i, e := range s.vms {
+		out[i] = e.v
+	}
 	return out
 }
 
 // ForEachVM calls f for each placed VM in ascending ID order without
 // allocating. f must not place or remove VMs on this server.
 func (s *Server) ForEachVM(f func(*vm.VM)) {
-	for _, v := range s.vms {
-		f(v)
+	for _, e := range s.vms {
+		f(e.v)
 	}
+}
+
+// search returns the position of the first entry with ID ≥ id.
+func (s *Server) search(id int) int {
+	lo, hi := 0, len(s.vms)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.vms[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // attach inserts v keeping s.vms sorted by ID and updates the
 // incremental resource accounting.
 func (s *Server) attach(v *vm.VM) {
-	i := sort.Search(len(s.vms), func(i int) bool { return s.vms[i].ID >= v.ID })
-	s.vms = append(s.vms, nil)
+	i := s.search(v.ID)
+	s.vms = append(s.vms, vmSlot{})
 	copy(s.vms[i+1:], s.vms[i:])
-	s.vms[i] = v
+	s.vms[i] = vmSlot{id: v.ID, v: v}
 	s.vcoresUse += v.Type.VCores
 	s.memUse += v.Type.MemoryGB
 	s.expDemand += float64(v.Type.VCores) * v.AvgUtil
 }
 
-// detach removes v (present by contract) and updates the incremental
-// accounting. A fully drained server resets its expected demand to an
-// exact zero so floating-point residue cannot accumulate across
-// place/remove cycles.
-func (s *Server) detach(v *vm.VM) {
-	i := sort.Search(len(s.vms), func(i int) bool { return s.vms[i].ID >= v.ID })
+// detach removes the VM with the given ID, returns it, and updates the
+// incremental accounting. The host table says the VM is here; a
+// missing entry means the two records disagree, which is a bug, so it
+// panics rather than detach a neighbour. A fully drained server resets
+// its expected demand to an exact zero so floating-point residue
+// cannot accumulate across place/remove cycles.
+func (s *Server) detach(id int) *vm.VM {
+	i := s.search(id)
+	if i == len(s.vms) || s.vms[i].id != id {
+		panic(fmt.Sprintf("cluster: VM %d not on server %d", id, s.ID))
+	}
+	v := s.vms[i].v
 	copy(s.vms[i:], s.vms[i+1:])
-	s.vms[len(s.vms)-1] = nil
+	s.vms[len(s.vms)-1] = vmSlot{}
 	s.vms = s.vms[:len(s.vms)-1]
 	s.vcoresUse -= v.Type.VCores
 	s.memUse -= v.Type.MemoryGB
@@ -118,6 +149,7 @@ func (s *Server) detach(v *vm.VM) {
 	} else {
 		s.expDemand -= float64(v.Type.VCores) * v.AvgUtil
 	}
+	return v
 }
 
 // Policy controls placement behaviour.
@@ -137,7 +169,9 @@ type Cluster struct {
 	Spec    ServerSpec
 	Policy  Policy
 	servers []*Server
-	placed  map[int]*Server // VM ID → server
+	// hosts maps each placed VM's ID to its server's index (ID ==
+	// index), the one VM→host record of the cluster.
+	hosts hostTable
 	// idx is the best-fit placement index: non-reserved live servers
 	// bucketed by remaining vcore headroom. Maintained by every
 	// mutation path (place/remove/fail/migrate/policy change).
@@ -157,9 +191,13 @@ type Cluster struct {
 }
 
 // New builds a cluster of n servers, reserving the policy's buffer
-// fraction as failover capacity.
+// fraction as failover capacity. The host table stores server indices
+// as int32, so n must not exceed math.MaxInt32.
 func New(spec ServerSpec, policy Policy, n int) *Cluster {
-	c := &Cluster{Spec: spec, Policy: policy, placed: make(map[int]*Server)}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("cluster: %d servers exceed the %d-server limit", n, math.MaxInt32))
+	}
+	c := &Cluster{Spec: spec, Policy: policy, hosts: newHostTable()}
 	reserve := int(float64(n) * policy.BufferFraction)
 	for i := 0; i < n; i++ {
 		s := &Server{ID: i, Spec: spec}
@@ -283,7 +321,14 @@ func (c *Cluster) Place(v *vm.VM) (*Server, error) {
 	return c.place(v, false)
 }
 
+// ErrAlreadyPlaced is returned by Place for a VM whose ID is already
+// placed; the cluster is left untouched.
+var ErrAlreadyPlaced = errors.New("cluster: VM already placed")
+
 func (c *Cluster) place(v *vm.VM, useReserved bool) (*Server, error) {
+	if _, dup := c.hosts.get(v.ID); dup {
+		return nil, ErrAlreadyPlaced
+	}
 	var best *Server
 	if useReserved {
 		// Reserved capacity lives outside the index; the recovery path
@@ -307,7 +352,7 @@ func (c *Cluster) place(v *vm.VM, useReserved bool) (*Server, error) {
 	}
 	oldR := c.headroom(best)
 	best.attach(v)
-	c.placed[v.ID] = best
+	c.hosts.set(v.ID, int32(best.ID))
 	c.placedCount++
 	c.vcoresAlloc += v.Type.VCores
 	c.track.Mark(best.ID)
@@ -352,26 +397,42 @@ func (c *Cluster) placeIndexed(v *vm.VM) *Server {
 
 // Host returns the server currently hosting VM id, if it is placed.
 func (c *Cluster) Host(id int) (*Server, bool) {
-	s, ok := c.placed[id]
-	return s, ok
+	i, ok := c.hosts.get(id)
+	if !ok {
+		return nil, false
+	}
+	return c.servers[i], true
 }
 
-// Remove releases a VM's resources.
+// errNotPlaced is Remove's error for a VM that is not placed.
+var errNotPlaced = errors.New("cluster: VM not placed")
+
+// Remove releases a VM's resources: RemoveID(v.ID).
 func (c *Cluster) Remove(v *vm.VM) error {
-	s, ok := c.placed[v.ID]
-	if !ok {
-		return errors.New("cluster: VM not placed")
+	if _, ok := c.RemoveID(v.ID); !ok {
+		return errNotPlaced
 	}
+	return nil
+}
+
+// RemoveID releases the VM placed under id and returns the server that
+// hosted it, or false when no such VM is placed. The accounting uses
+// the placed VM's own shape.
+func (c *Cluster) RemoveID(id int) (*Server, bool) {
+	i, ok := c.hosts.del(id)
+	if !ok {
+		return nil, false
+	}
+	s := c.servers[i]
 	oldR := c.headroom(s)
-	s.detach(v)
-	delete(c.placed, v.ID)
+	v := s.detach(id)
 	c.placedCount--
 	c.vcoresAlloc -= v.Type.VCores
 	c.track.Mark(s.ID)
 	if c.indexed(s) {
 		c.idx.move(s.ID, oldR, c.headroom(s))
 	}
-	return nil
+	return s, true
 }
 
 // Stats summarizes fleet utilization.
@@ -446,12 +507,10 @@ func (c *Cluster) FailServers(n int) []*vm.VM {
 		c.vcoresAlloc -= s.vcoresUse
 		c.pcoresLive -= s.Spec.PCores
 		c.track.Mark(s.ID)
-		for _, v := range s.vms {
-			displaced = append(displaced, v)
-			delete(c.placed, v.ID)
-		}
-		for i := range s.vms {
-			s.vms[i] = nil
+		for i, e := range s.vms {
+			displaced = append(displaced, e.v)
+			c.hosts.del(e.id)
+			s.vms[i] = vmSlot{}
 		}
 		s.vms = s.vms[:0]
 		s.vcoresUse = 0
@@ -486,8 +545,8 @@ func (c *Cluster) PackTrace(trace []*vm.VM) (peakDensity float64, rejected int) 
 			if d := c.Stats().Density; d > peakDensity {
 				peakDensity = d
 			}
-		} else if _, placed := c.placed[ev.VM.ID]; placed {
-			_ = c.Remove(ev.VM)
+		} else {
+			c.RemoveID(ev.VM.ID) // rejected at arrival → not placed
 		}
 	}
 	return peakDensity, rejected
@@ -568,19 +627,24 @@ func (c *Cluster) findHeadroom(src *Server, v *vm.VM) *Server {
 	return best
 }
 
-// ApplyMigrations executes a plan, returning how many moves succeeded
-// (a destination may have filled since planning).
+// ApplyMigrations executes a plan, returning how many moves succeeded.
+// A move is skipped when its plan has gone stale: the VM is no longer
+// placed on From (removed, failed over or moved since planning), or the
+// destination has filled.
 func (c *Cluster) ApplyMigrations(plan []Migration) int {
 	done := 0
 	for _, m := range plan {
-		if m.To.vcoresUse+m.VM.Type.VCores > m.To.Spec.PCores ||
+		if i, ok := c.hosts.get(m.VM.ID); !ok || c.servers[i] != m.From {
+			continue
+		}
+		if m.To.Failed ||
+			m.To.vcoresUse+m.VM.Type.VCores > m.To.Spec.PCores ||
 			m.To.memUse+m.VM.Type.MemoryGB > m.To.Spec.MemoryGB {
 			continue
 		}
 		fromR, toR := c.headroom(m.From), c.headroom(m.To)
-		m.From.detach(m.VM)
-		m.To.attach(m.VM)
-		c.placed[m.VM.ID] = m.To
+		m.To.attach(m.From.detach(m.VM.ID))
+		c.hosts.set(m.VM.ID, int32(m.To.ID))
 		// Both endpoints are live, so the packing KPIs are unchanged;
 		// only the export rows move.
 		c.track.Mark(m.From.ID)

@@ -458,10 +458,12 @@ func (s *Sim) Cluster() *cluster.Cluster { return s.cl }
 func (s *Sim) Decider() placement.Decider { return s.dec }
 
 // Place routes a VM arrival through the cluster placer with the same
-// rejection accounting the trace-replay path uses.
+// rejection accounting the trace-replay path uses. A VM whose ID is
+// already placed is refused with cluster.ErrAlreadyPlaced and is not a
+// capacity rejection.
 func (s *Sim) Place(v *vm.VM) (*cluster.Server, error) {
 	srv, err := s.cl.Place(v)
-	if err != nil {
+	if err != nil && !errors.Is(err, cluster.ErrAlreadyPlaced) {
 		s.rep.Rejected++
 		s.m.rejected.Inc()
 	}
@@ -470,7 +472,11 @@ func (s *Sim) Place(v *vm.VM) (*cluster.Server, error) {
 
 // Remove releases a VM placed earlier. Departures of VMs that were
 // rejected at arrival are ignored, matching trace replay.
-func (s *Sim) Remove(v *vm.VM) { _ = s.cl.Remove(v) }
+func (s *Sim) Remove(v *vm.VM) { s.RemoveID(v.ID) }
+
+// RemoveID releases the VM placed under id and returns the server that
+// hosted it, or false when no such VM is placed.
+func (s *Sim) RemoveID(id int) (*cluster.Server, bool) { return s.cl.RemoveID(id) }
 
 // Step executes one control step at the current simulated time, then
 // advances the clock by the configured period. It is StepCtx without

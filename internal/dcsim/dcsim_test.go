@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"immersionoc/internal/cluster"
 	"immersionoc/internal/telemetry"
 	"immersionoc/internal/thermal"
 	"immersionoc/internal/vm"
@@ -186,5 +187,33 @@ func TestRunCtxStopsWithinOneStep(t *testing.T) {
 	// cancellation actually cut it short rather than the config.
 	if total := cfg.Trace.DurationS / cfg.StepS; float64(steps) >= total {
 		t.Fatalf("cancellation never cut the run short (%d of %.0f steps)", steps, total)
+	}
+}
+
+// TestPlaceDuplicateIDIsNotARejection: a second VM under a placed ID
+// is refused without counting as a capacity rejection, and RemoveID
+// then frees the one placed VM.
+func TestPlaceDuplicateIDIsNotARejection(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Events = []vm.Event{}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &vm.VM{ID: 7, Type: vm.Size4, AvgUtil: 0.5}
+	if _, err := s.Place(v); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Place(&vm.VM{ID: 7, Type: vm.Size4, AvgUtil: 0.5}); !errors.Is(err, cluster.ErrAlreadyPlaced) {
+		t.Fatalf("duplicate place returned %v, want cluster.ErrAlreadyPlaced", err)
+	}
+	if r := s.Report().Rejected; r != 0 {
+		t.Fatalf("duplicate counted as %d rejections", r)
+	}
+	if _, ok := s.RemoveID(7); !ok || s.Cluster().PlacedVMs() != 0 {
+		t.Fatalf("RemoveID(7) = %v, %d VMs still placed", ok, s.Cluster().PlacedVMs())
+	}
+	if _, ok := s.RemoveID(7); ok {
+		t.Fatal("second RemoveID(7) succeeded")
 	}
 }

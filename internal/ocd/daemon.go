@@ -69,7 +69,6 @@ const maxBodyBytes = 1 << 20
 type Daemon struct {
 	mu   sync.Mutex
 	sim  *dcsim.Sim
-	vms  map[int]*vm.VM // placed VMs by ID, for Remove
 	mode string
 	reg  *telemetry.Registry
 
@@ -118,7 +117,6 @@ func New(cfg dcsim.Config, mode string, reg *telemetry.Registry) (*Daemon, error
 	ocd := reg.Scope("ocd")
 	d := &Daemon{
 		sim:      sim,
-		vms:      make(map[int]*vm.VM),
 		mode:     mode,
 		reg:      reg,
 		grants:   ocd.Counter("overclock_grants"),
@@ -382,14 +380,13 @@ func (d *Daemon) place(req api.PlaceRequest) (api.PlaceResponse, error) {
 	if err != nil {
 		return api.PlaceResponse{}, err
 	}
-	if _, dup := d.vms[v.ID]; dup {
+	if _, dup := d.sim.Cluster().Host(v.ID); dup {
 		return api.PlaceResponse{}, errf(http.StatusConflict, "vm %d already placed", v.ID)
 	}
 	srv, err := d.sim.Place(v)
 	if err != nil {
 		return api.PlaceResponse{Vers: api.Version, Placed: false, Error: err.Error()}, nil
 	}
-	d.vms[v.ID] = v
 	ref := d.serverRef(srv.ID)
 	return api.PlaceResponse{Vers: api.Version, Placed: true, Server: &ref}, nil
 }
@@ -397,20 +394,15 @@ func (d *Daemon) place(req api.PlaceRequest) (api.PlaceResponse, error) {
 // remove releases a VM; departures of VMs that were rejected at
 // arrival are no-ops, matching trace replay.
 func (d *Daemon) remove(req api.RemoveRequest) (api.RemoveResponse, error) {
-	v, ok := d.vms[req.ID]
+	host, ok := d.sim.RemoveID(req.ID)
 	if !ok {
 		return api.RemoveResponse{Vers: api.Version, Removed: false}, nil
 	}
-	host, hosted := d.sim.Cluster().Host(v.ID)
-	d.sim.Remove(v)
-	if hosted {
-		// Fold the departure's power delta now, as place does for
-		// arrivals via serverRef: every API mutation leaves the row sum
-		// fully folded, so the published snapshot and a locked read
-		// report the same draw.
-		d.sim.RefreshServerPower(host.ID)
-	}
-	delete(d.vms, req.ID)
+	// Fold the departure's power delta now, as place does for arrivals
+	// via serverRef: every API mutation leaves the row sum fully
+	// folded, so the published snapshot and a locked read report the
+	// same draw.
+	d.sim.RefreshServerPower(host.ID)
 	return api.RemoveResponse{Vers: api.Version, Removed: true}, nil
 }
 

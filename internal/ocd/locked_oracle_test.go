@@ -132,7 +132,7 @@ func (d *Daemon) statusLocked() api.FleetStatus {
 		Mode:                 d.mode,
 		Servers:              d.sim.ServerCount(),
 		Tanks:                d.sim.TankCount(),
-		PlacedVMs:            len(d.vms),
+		PlacedVMs:            d.sim.Cluster().PlacedVMs(),
 		Density:              d.sim.Cluster().Density(),
 		Rejected:             rep.Rejected,
 		RowPowerW:            d.sim.RowPowerW(),
@@ -153,6 +153,5 @@ func (d *Daemon) statusLocked() api.FleetStatus {
 func (d *Daemon) publishFullCopyLocked() {
 	v := &fleetView{}
 	d.sim.Snapshot(&v.FleetSnapshot)
-	v.placedVMs = len(d.vms)
 	d.snap.Store(v)
 }

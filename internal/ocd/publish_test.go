@@ -109,8 +109,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	v0 := d.snap.Load()
 	place(1)
 	v1 := d.snap.Load()
-	if v1 == v0 || v1.placedVMs != 1 {
-		t.Fatalf("leading-edge write did not publish immediately (placedVMs=%d)", v1.placedVMs)
+	if v1 == v0 || v1.Flat.PlacedVMs != 1 {
+		t.Fatalf("leading-edge write did not publish immediately (placedVMs=%d)", v1.Flat.PlacedVMs)
 	}
 
 	place(2)
@@ -127,8 +127,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 
 	d.flushPending()
 	v2 := d.snap.Load()
-	if v2 == v1 || v2.placedVMs != 3 {
-		t.Fatalf("trailing flush published placedVMs=%d, want 3", v2.placedVMs)
+	if v2 == v1 || v2.Flat.PlacedVMs != 3 {
+		t.Fatalf("trailing flush published placedVMs=%d, want 3", v2.Flat.PlacedVMs)
 	}
 
 	place(4)
@@ -140,8 +140,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		t.Fatalf("step: HTTP %d %s", rec.Code, rec.Body.String())
 	}
 	v3 := d.snap.Load()
-	if v3.placedVMs != 4 {
-		t.Fatalf("step publish skipped the pending write: placedVMs=%d, want 4", v3.placedVMs)
+	if v3.Flat.PlacedVMs != 4 {
+		t.Fatalf("step publish skipped the pending write: placedVMs=%d, want 4", v3.Flat.PlacedVMs)
 	}
 	d.mu.Lock()
 	pending = d.pendingView
@@ -163,10 +163,10 @@ func TestGroupCommitTrailingFlush(t *testing.T) {
 	place(1) // leading edge: published
 	place(2) // inside the window: coalesced, flush armed
 	deadline := time.Now().Add(5 * time.Second)
-	for d.snap.Load().placedVMs != 2 {
+	for d.snap.Load().Flat.PlacedVMs != 2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("coalesced write still unpublished after 5s (placedVMs=%d)",
-				d.snap.Load().placedVMs)
+				d.snap.Load().Flat.PlacedVMs)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -246,13 +246,13 @@ func TestConcurrentWritersCoalescedPublish(t *testing.T) {
 	// The published view must converge on exactly the daemon's final
 	// placed set.
 	d.mu.Lock()
-	want := len(d.vms)
+	want := d.sim.Cluster().PlacedVMs()
 	d.mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
-	for d.snap.Load().placedVMs != want {
+	for d.snap.Load().Flat.PlacedVMs != want {
 		if time.Now().After(deadline) {
 			t.Fatalf("published view stuck at placedVMs=%d, want %d: a coalesced publish lost the latest write",
-				d.snap.Load().placedVMs, want)
+				d.snap.Load().Flat.PlacedVMs, want)
 		}
 		time.Sleep(time.Millisecond)
 	}

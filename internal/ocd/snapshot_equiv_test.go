@@ -198,10 +198,9 @@ func TestSnapshotMatchesLockedReads(t *testing.T) {
 	fail(dLocked)
 	checkpoint("after server failures")
 
-	// Remove-after-fail: a displaced VM is still in the daemon's placed
-	// set but no longer hosted, so its departure must be a cluster-side
-	// no-op that still answers Removed:true — and both planes must agree
-	// on the shrunken placed count afterwards.
+	// Remove-after-fail: a displaced VM is no longer placed, so its
+	// departure must be a no-op answering Removed:false — and both
+	// planes must agree on the shrunken placed count afterwards.
 	for _, id := range displaced {
 		post("/v1/remove", fmt.Sprintf(`{"id":%d}`, id))
 	}

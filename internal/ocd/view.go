@@ -58,13 +58,9 @@ import (
 const reasonThermal = "thermal"
 
 // fleetView is one published read model: the simulation's columnar
-// snapshot plus the daemon-level state the read endpoints report.
+// snapshot, which carries everything the read endpoints report.
 type fleetView struct {
 	dcsim.FleetSnapshot
-	// placedVMs is len(d.vms) at publish time — the daemon's notion of
-	// placed VMs (includes VMs on failed servers, unlike
-	// Flat.PlacedVMs, matching the locked status path).
-	placedVMs int
 }
 
 // publishLocked snapshots the simulation into a new view and makes it
@@ -79,7 +75,6 @@ func (d *Daemon) publishLocked() {
 		v.FleetSnapshot = prev.FleetSnapshot
 	}
 	d.sim.Snapshot(&v.FleetSnapshot)
-	v.placedVMs = len(d.vms)
 	d.snap.Store(v)
 }
 
@@ -416,7 +411,7 @@ func (d *Daemon) serveStatus(w http.ResponseWriter, r *http.Request) {
 		Mode:                 d.mode,
 		Servers:              view.Flat.Servers,
 		Tanks:                len(view.OCPerTank),
-		PlacedVMs:            view.placedVMs,
+		PlacedVMs:            view.Flat.PlacedVMs,
 		Density:              view.Flat.Density,
 		Rejected:             view.Rejected,
 		RowPowerW:            view.RowPowerW,

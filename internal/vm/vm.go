@@ -9,9 +9,10 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"immersionoc/internal/rng"
 )
@@ -204,19 +205,28 @@ func Events(trace []*VM) []Event {
 		evs = append(evs, Event{TimeS: v.ArrivalS, VM: v, Arrival: true})
 		evs = append(evs, Event{TimeS: v.EndS(), VM: v, Arrival: false})
 	}
-	// Total order: time, then departures before arrivals (free
-	// capacity before consuming it), then VM ID.
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.TimeS != b.TimeS {
-			return a.TimeS < b.TimeS
-		}
-		if a.Arrival != b.Arrival {
-			return !a.Arrival
-		}
-		return a.VM.ID < b.VM.ID
-	})
+	slices.SortFunc(evs, compareEvents)
 	return evs
+}
+
+// compareEvents is the event stream's total order: time, then
+// departures before arrivals (free capacity before consuming it), then
+// VM ID. Being total, it fixes the sorted output whatever the sort
+// algorithm.
+func compareEvents(a, b Event) int {
+	if a.TimeS != b.TimeS {
+		if a.TimeS < b.TimeS {
+			return -1
+		}
+		return 1
+	}
+	if a.Arrival != b.Arrival {
+		if !a.Arrival {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.VM.ID, b.VM.ID)
 }
 
 // CreationLatencyS is the time to deploy a new VM, emulating the
