@@ -151,7 +151,11 @@ func BenchmarkFig9(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
 		best = 0
-		for _, c := range experiments.Fig9Data() {
+		cells, err := experiments.Fig9Data(context.Background(), experiments.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range cells {
 			if c.Improvement > best {
 				best = c.Improvement
 			}
@@ -190,7 +194,10 @@ func BenchmarkFig12(b *testing.B) {
 	p.PCoreSteps = []int{12, 16}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		data := experiments.Fig12Data(p)
+		data, err := experiments.Fig12Data(context.Background(), p)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b16, _ := experiments.Fig12Find(data, "B2", 16)
 		o12, _ := experiments.Fig12Find(data, "OC3", 12)
 		ratio = o12.MeanP95MS / b16.MeanP95MS
@@ -219,7 +226,7 @@ func BenchmarkSweepFig12(b *testing.B) {
 			p.Workers = bc.workers
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				data, err := experiments.Fig12DataCtx(context.Background(), p)
+				data, err := experiments.Fig12Data(context.Background(), p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -238,7 +245,11 @@ func BenchmarkFig13(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
 		best = 0
-		for _, c := range experiments.Fig13Data(p) {
+		cells, err := experiments.Fig13Data(context.Background(), p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range cells {
 			if c.Config == "OC3-oversub" && c.Improvement > best {
 				best = c.Improvement
 			}
@@ -250,7 +261,7 @@ func BenchmarkFig13(b *testing.B) {
 func BenchmarkFig15(b *testing.B) {
 	var freqAt3000 float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig15Data(experiments.Options{})
+		res, err := experiments.Fig15Data(context.Background(), experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +273,7 @@ func BenchmarkFig15(b *testing.B) {
 func BenchmarkTableXI(b *testing.B) {
 	var ocaVMh float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableXIData(experiments.Options{})
+		res, err := experiments.TableXIData(context.Background(), experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +285,7 @@ func BenchmarkTableXI(b *testing.B) {
 func BenchmarkFig16(b *testing.B) {
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableXIData(experiments.Options{})
+		res, err := experiments.TableXIData(context.Background(), experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +299,11 @@ func BenchmarkPacking(b *testing.B) {
 	trace.ArrivalRatePerS = 0.012
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		gain = experiments.PackingData(24, trace, 0.25).DensityGain
+		res, err := experiments.PackingData(context.Background(), experiments.Options{}, 24, trace, 0.25)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gain = res.DensityGain
 	}
 	b.ReportMetric(gain*100, "density-gain-%")
 }
@@ -300,7 +315,10 @@ func BenchmarkBuffers(b *testing.B) {
 	trace.MeanLifetimeS = 48 * 3600
 	var extra float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.BuffersData(20, 2, 0.10, trace)
+		res, err := experiments.BuffersData(context.Background(), experiments.Options{}, 20, 2, 0.10, trace)
+		if err != nil {
+			b.Fatal(err)
+		}
 		extra = float64(res.VirtualSellable - res.StaticSellable)
 	}
 	b.ReportMetric(extra, "extra-sellable-vcores")
@@ -314,7 +332,10 @@ func BenchmarkCapacityCrisis(b *testing.B) {
 	trace.MeanLifetimeS = 24 * 3600
 	var saved float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.CapacityCrisisData(16, trace)
+		res, err := experiments.CapacityCrisisData(context.Background(), experiments.Options{}, 16, trace)
+		if err != nil {
+			b.Fatal(err)
+		}
 		saved = float64(res.DeniedBaseline - res.DeniedOC)
 	}
 	b.ReportMetric(saved, "denials-avoided")
@@ -387,7 +408,11 @@ func BenchmarkAblationBEC(b *testing.B) {
 func BenchmarkAblationBursts(b *testing.B) {
 	var penalty float64
 	for i := 0; i < b.N; i++ {
-		penalty = experiments.AblationBurstsData().Penalty
+		res, err := experiments.AblationBurstsData(context.Background(), experiments.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		penalty = res.Penalty
 	}
 	b.ReportMetric(penalty, "correlation-penalty-x")
 }
@@ -395,7 +420,7 @@ func BenchmarkAblationBursts(b *testing.B) {
 func BenchmarkAblationEq1(b *testing.B) {
 	var saving float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationEq1Data(experiments.Options{})
+		res, err := experiments.AblationEq1Data(context.Background(), experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -407,7 +432,7 @@ func BenchmarkAblationEq1(b *testing.B) {
 func BenchmarkPolicyComparison(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.PolicyComparisonData(experiments.Options{})
+		results, err := experiments.PolicyComparisonData(context.Background(), experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -425,7 +450,7 @@ func BenchmarkPolicyComparison(b *testing.B) {
 func BenchmarkCoolingComparison(b *testing.B) {
 	var fcDuty float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.CoolingComparisonData()
+		rows, err := experiments.CoolingComparisonData(context.Background(), experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -441,7 +466,7 @@ func BenchmarkCoolingComparison(b *testing.B) {
 func BenchmarkDiurnal(b *testing.B) {
 	var saved float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.DiurnalData(experiments.Options{DurationS: 1800})
+		res, err := experiments.DiurnalData(context.Background(), experiments.Options{DurationS: 1800})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,11 +27,6 @@
 //	-j N          GOMAXPROCS override (0 = runtime default); also grows
 //	              the shared worker budget sharded stepping draws from
 //	-seed N       override the fleet trace's RNG seed
-//	-publish-max-latency d
-//	              group-commit window for snapshot publication: writes
-//	              arriving within d of the last publish coalesce into
-//	              one, published at latest d after the first (0 = every
-//	              write publishes immediately)
 //	-timeout d    graceful-shutdown drain budget (0 = 5s)
 //	-metrics f    write the final telemetry snapshot as JSON to f on exit
 //	-pprof addr   serve net/http/pprof on addr
@@ -71,12 +66,11 @@ func main() {
 type options struct {
 	cli.Common // -j, -seed, -timeout, -metrics, -pprof
 
-	listen        string
-	fleet         string
-	mode          string
-	scale         float64
-	shards        int
-	publishWindow time.Duration
+	listen string
+	fleet  string
+	mode   string
+	scale  float64
+	shards int
 }
 
 // parseArgs parses the command line. A parse error has already been
@@ -91,8 +85,6 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&c.mode, "mode", "stepped", `time mode: "stepped" (POST /v1/step) or "scaled" (wall clock)`)
 	fs.Float64Var(&c.scale, "scale", 300, "scaled mode: simulated seconds per wall second")
 	fs.IntVar(&c.shards, "shards", 0, "fleet simulation shards stepped concurrently (0 = serial)")
-	fs.DurationVar(&c.publishWindow, "publish-max-latency", 0,
-		"write-plane group-commit window; 0 publishes a snapshot after every write")
 	_, err := cli.ParseInterleaved(fs, args)
 	return c, err
 }
@@ -100,9 +92,6 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 // validate checks the parsed flag values against each other and their
 // ranges.
 func (c *options) validate() error {
-	if c.publishWindow < 0 {
-		return errors.New("-publish-max-latency must be non-negative")
-	}
 	if c.mode != ocd.ModeStepped && c.mode != ocd.ModeScaled {
 		return fmt.Errorf("-mode must be %q or %q", ocd.ModeStepped, ocd.ModeScaled)
 	}
@@ -221,7 +210,6 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ocd: %v\n", err)
 		return 1
 	}
-	d.SetPublishMaxLatency(c.publishWindow)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -16,7 +16,6 @@ func TestRunRejectsBadArguments(t *testing.T) {
 	}{
 		{[]string{"-scale", "0"}, "ocd: -scale must be positive\n"},
 		{[]string{"-mode", "bogus"}, "ocd: -mode must be \"stepped\" or \"scaled\"\n"},
-		{[]string{"-publish-max-latency", "-1s"}, "ocd: -publish-max-latency must be non-negative\n"},
 		{[]string{"-shards", "-1"}, "ocd: -shards must be non-negative\n"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
@@ -28,6 +27,18 @@ func TestRunRejectsBadArguments(t *testing.T) {
 				t.Fatalf("stderr %q, want %q", stderr.String(), tc.want)
 			}
 		})
+	}
+}
+
+// TestRunRejectsRemovedPublishWindowFlag pins that the retired
+// group-commit flag is an unknown flag: usage error, exit 2.
+func TestRunRejectsRemovedPublishWindowFlag(t *testing.T) {
+	var stderr strings.Builder
+	if code := run([]string{"-publish-max-latency", "1ms"}, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -publish-max-latency") {
+		t.Fatalf("stderr does not name the unknown flag:\n%s", stderr.String())
 	}
 }
 

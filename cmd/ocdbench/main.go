@@ -4,10 +4,10 @@
 // overclock — and records the round-trip latency in a per-worker
 // stats.Digest, so the report's p50/p99/p999 are exact order
 // statistics, not histogram-bucket approximations. With no -addr it
-// self-hosts an in-process daemon on a loopback listener — fleet size,
-// a paced background stepper, and the write plane's group-commit
-// window are then configurable, so one binary measures the serving path end to
-// end (HTTP stack included) without a deployment.
+// self-hosts an in-process daemon on a loopback listener — fleet size
+// and a paced background stepper are then configurable, so one binary
+// measures the serving path end to end (HTTP stack included) without a
+// deployment.
 //
 // -mix takes either explicit endpoint=weight pairs or a preset:
 // "read" (the status-poll-dominant default), "mixed" (reads with a
@@ -15,7 +15,6 @@
 // heavy — the mix that stresses snapshot publication).
 //
 //	ocdbench -servers 2000 -workers 4 -duration 10s -mix write
-//	ocdbench -servers 2000 -mix write -publish-max-latency 1ms
 //	ocdbench -addr http://127.0.0.1:8080 -duration 30s -json
 //
 // Exit codes follow octl's convention: 0 on success, 1 on a runtime
@@ -51,14 +50,13 @@ func main() {
 // loadCfg is one benchmark run's shape, filled from flags (or directly
 // by the BenchmarkOcdbench harness).
 type loadCfg struct {
-	addr          string        // target daemon; "" self-hosts
-	servers       int           // self-host fleet size
-	workers       int           // concurrent closed-loop workers
-	duration      time.Duration // measurement window
-	mix           string        // weighted endpoint mix or preset name
-	stepBatch     int           // self-host: steps per control-loop pass
-	stepPeriod    time.Duration // self-host: idle gap between passes; 0 disables stepping
-	publishWindow time.Duration // self-host: write-plane group-commit window
+	addr       string        // target daemon; "" self-hosts
+	servers    int           // self-host fleet size
+	workers    int           // concurrent closed-loop workers
+	duration   time.Duration // measurement window
+	mix        string        // weighted endpoint mix or preset name
+	stepBatch  int           // self-host: steps per control-loop pass
+	stepPeriod time.Duration // self-host: idle gap between passes; 0 disables stepping
 }
 
 // endpointStats accumulates one endpoint's latencies across workers.
@@ -109,8 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.stepBatch, "step-batch", 10, "self-host: simulation steps per control-loop pass")
 	fs.DurationVar(&cfg.stepPeriod, "step-period", 5*time.Millisecond,
 		"self-host: idle gap between control-loop passes (0 disables stepping)")
-	fs.DurationVar(&cfg.publishWindow, "publish-max-latency", 0,
-		"self-host: write-plane group-commit window (0 publishes after every write)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -228,7 +224,6 @@ func selfHost(cfg loadCfg) (addr string, cleanup func(), err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	d.SetPublishMaxLatency(cfg.publishWindow)
 	h := d.Handler()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

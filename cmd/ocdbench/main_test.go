@@ -86,6 +86,18 @@ func TestOcdbenchUsageErrors(t *testing.T) {
 	}
 }
 
+// TestOcdbenchRejectsRemovedPublishWindowFlag pins that the retired
+// group-commit flag is an unknown flag: usage error, exit 2.
+func TestOcdbenchRejectsRemovedPublishWindowFlag(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-publish-max-latency", "1ms"}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "flag provided but not defined: -publish-max-latency") {
+		t.Fatalf("stderr does not name the unknown flag:\n%s", errb.String())
+	}
+}
+
 func TestParseMixSchedule(t *testing.T) {
 	sched, err := parseMix("status=2, metrics=1,filter=0")
 	if err != nil {
@@ -177,14 +189,14 @@ func TestParseMixPresets(t *testing.T) {
 
 // TestOcdbenchWriteMixSmoke drives the write preset end to end against
 // a self-hosted fleet — placers, removers and overclockers through the
-// real client — with a group-commit window set, and requires an
-// error-free run reporting all four endpoints.
+// real client — and requires an error-free run reporting all four
+// endpoints.
 func TestOcdbenchWriteMixSmoke(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{
 		"-servers", "64", "-workers", "2", "-duration", "150ms",
 		"-step-batch", "2", "-step-period", "2ms",
-		"-mix", "write", "-publish-max-latency", "1ms",
+		"-mix", "write",
 		"-json",
 	}, &out, &errb)
 	if code != 0 {

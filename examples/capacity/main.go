@@ -7,8 +7,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log"
 
 	"immersionoc/internal/cluster"
 	"immersionoc/internal/experiments"
@@ -25,7 +27,11 @@ func main() {
 	trace.ArrivalRatePerS = 0.25
 	trace.DurationS = 24 * 3600
 	trace.MeanLifetimeS = 48 * 3600
-	res := experiments.BuffersData(*servers, *failures, 0.10, trace)
+	ctx := context.Background()
+	res, err := experiments.BuffersData(ctx, experiments.Options{}, *servers, *failures, 0.10, trace)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("fleet of %d servers (%d pcores each), %d-server failure:\n\n",
 		*servers, cluster.TwoSocketBlade.PCores, *failures)
@@ -43,7 +49,10 @@ func main() {
 	crisis.ArrivalRatePerS = 0.012
 	crisis.DurationS = 2 * 24 * 3600
 	crisis.MeanLifetimeS = 24 * 3600
-	cres := experiments.CapacityCrisisData(16, crisis)
+	cres, err := experiments.CapacityCrisisData(ctx, experiments.Options{}, 16, crisis)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("capacity crisis: peak demand %d vcores against %d pcores\n", cres.DemandVCores, cres.SupplyPCores)
 	fmt.Printf("  1:1 fleet denied %d VM requests; overclocking-backed fleet denied %d (−%.0f%%)\n",
 		cres.DeniedBaseline, cres.DeniedOC,
@@ -52,7 +61,10 @@ func main() {
 	// Part 3: packing density.
 	pt := vm.DefaultTrace
 	pt.ArrivalRatePerS = 0.012
-	pres := experiments.PackingData(24, pt, 0.25)
+	pres, err := experiments.PackingData(ctx, experiments.Options{}, 24, pt, 0.25)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\npacking density on a 24-server fleet:\n")
 	fmt.Printf("  air-cooled 1:1:      %.3f vcores/pcore (%d arrivals rejected)\n",
 		pres.BaselineDensity, pres.BaselineRejected)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,10 @@ func main() {
 	p := experiments.DefaultFig12Params()
 	p.DurationS = 240
 	p.PCoreSteps = []int{12, 16}
-	data := experiments.Fig12Data(p)
+	data, err := experiments.Fig12Data(context.Background(), p)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	b16, _ := experiments.Fig12Find(data, "B2", 16)
 	b12, _ := experiments.Fig12Find(data, "B2", 12)

@@ -252,16 +252,6 @@ func (c *Cluster) SetOversubRatio(r float64) {
 	c.rebuildIndex()
 }
 
-// vcoreCap returns the server's vcore allocation limit under the
-// policy.
-func (c *Cluster) vcoreCap(s *Server) int {
-	capV := s.Spec.PCores
-	if c.Policy.CPUOversubRatio > 0 && s.Spec.Overclockable {
-		capV = int(float64(s.Spec.PCores) * (1 + c.Policy.CPUOversubRatio))
-	}
-	return capV
-}
-
 // fits reports whether v fits on s under the policy.
 func (c *Cluster) fits(s *Server, v *vm.VM, useReserved bool) bool {
 	return c.explain(s, v, useReserved) == ""
@@ -297,7 +287,7 @@ func (c *Cluster) explain(s *Server, v *vm.VM, useReserved bool) string {
 	if s.memUse+v.Type.MemoryGB > s.Spec.MemoryGB {
 		return ReasonMemory
 	}
-	if s.vcoresUse+v.Type.VCores > c.vcoreCap(s) {
+	if s.vcoresUse+v.Type.VCores > c.idx.capV {
 		return ReasonCapacity
 	}
 	// High-performance VMs need overclocking headroom guaranteed:
@@ -338,7 +328,7 @@ func (c *Cluster) place(v *vm.VM, useReserved bool) (*Server, error) {
 			if !c.fits(s, v, useReserved) {
 				continue
 			}
-			left := c.vcoreCap(s) - s.vcoresUse - v.Type.VCores
+			left := c.idx.capV - s.vcoresUse - v.Type.VCores
 			if left < bestLeft || (left == bestLeft && best != nil && s.ID < best.ID) {
 				best, bestLeft = s, left
 			}

@@ -43,16 +43,6 @@ type Flat struct {
 	Reserved     cow.Col[bool]
 }
 
-// vcoreCapSpec is vcoreCap for a bare spec (the per-server value is
-// uniform across a fleet built by New).
-func (c *Cluster) vcoreCapSpec(spec ServerSpec) int {
-	capV := spec.PCores
-	if c.Policy.CPUOversubRatio > 0 && spec.Overclockable {
-		capV = int(float64(spec.PCores) * (1 + c.Policy.CPUOversubRatio))
-	}
-	return capV
-}
-
 // ExportFlat fills dst from the cluster's current state. When dst is
 // the Flat produced by the previous export (the daemon chains each
 // published view off its predecessor), only the chunks containing
@@ -64,7 +54,7 @@ func (c *Cluster) ExportFlat(dst *Flat) {
 	dst.Servers = len(c.servers)
 	dst.Spec = c.Spec
 	dst.OversubRatio = c.Policy.CPUOversubRatio
-	dst.VCoreCap = c.vcoreCapSpec(c.Spec)
+	dst.VCoreCap = c.idx.capV
 	dst.PlacedVMs = c.placedCount
 	dst.Density = c.Density()
 

@@ -109,7 +109,7 @@ func (ix *placeIndex) scan(minR int, visit func(id int) bool) bool {
 // headroom returns the server's current index key. Only meaningful for
 // indexed (non-failed, non-reserved) servers.
 func (c *Cluster) headroom(s *Server) int {
-	r := c.vcoreCap(s) - s.vcoresUse
+	r := c.idx.capV - s.vcoresUse
 	if r < 0 {
 		r = 0
 	}
@@ -124,6 +124,10 @@ func (c *Cluster) indexed(s *Server) bool {
 // rebuildIndex reconstructs the placement index from scratch. Called
 // at construction and whenever the vcore cap changes (runtime
 // oversubscription policy flips), which re-keys every server at once.
+// It is the one place the cap is computed: New and SetOversubRatio are
+// the only writers of Spec and Policy, and both rebuild, so the
+// placement checks, the reserved-server scan, headroom and ExportFlat
+// all read the stored idx.capV.
 func (c *Cluster) rebuildIndex() {
 	capV := c.Spec.PCores
 	if c.Policy.CPUOversubRatio > 0 && c.Spec.Overclockable {

@@ -8,6 +8,16 @@ import (
 	"immersionoc/internal/vm"
 )
 
+// refVCoreCap is the per-server vcore cap computed from the server's
+// own spec and the policy, independent of the cap the index stores.
+func refVCoreCap(c *Cluster, s *Server) int {
+	capV := s.Spec.PCores
+	if c.Policy.CPUOversubRatio > 0 && s.Spec.Overclockable {
+		capV = int(float64(s.Spec.PCores) * (1 + c.Policy.CPUOversubRatio))
+	}
+	return capV
+}
+
 // linearBestFit is the pre-index placement scan, kept verbatim as the
 // reference implementation: best-fit on remaining vcores, ties to the
 // lowest server ID.
@@ -18,7 +28,7 @@ func linearBestFit(c *Cluster, v *vm.VM) *Server {
 		if !c.fits(s, v, false) {
 			continue
 		}
-		left := c.vcoreCap(s) - s.vcoresUse - v.Type.VCores
+		left := refVCoreCap(c, s) - s.vcoresUse - v.Type.VCores
 		if left < bestLeft || (left == bestLeft && best != nil && s.ID < best.ID) {
 			best, bestLeft = s, left
 		}

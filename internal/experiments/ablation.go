@@ -26,16 +26,11 @@ type AblationEq1Result struct {
 // AblationEq1Data runs both controllers on an oscillating moderate
 // load where intermediate ladder rungs suffice, so the model's
 // minimum-frequency selection can actually save power. The zero
-// Options reproduces the published run (seed 5).
-func AblationEq1Data(o Options) (AblationEq1Result, error) {
-	return AblationEq1DataCtx(context.Background(), o)
-}
-
-// AblationEq1DataCtx is AblationEq1Data honoring ctx: a cancelled
-// context stops the in-flight controller simulation at the kernel's
-// next event batch. The two controller runs are independent, so they
-// fan out through sweep.Map under o.Workers.
-func AblationEq1DataCtx(ctx context.Context, o Options) (AblationEq1Result, error) {
+// Options reproduces the published run (seed 5). The two controller
+// runs are independent, so they fan out through sweep.Map under
+// o.Workers; a cancelled context stops the in-flight controller
+// simulation at the kernel's next event batch.
+func AblationEq1Data(ctx context.Context, o Options) (AblationEq1Result, error) {
 	phases := []queueing.LoadPhase{
 		{QPS: 1000, DurationS: 240},
 		{QPS: 1700, DurationS: 300},
@@ -62,15 +57,6 @@ func AblationEq1DataCtx(ctx context.Context, o Options) (AblationEq1Result, erro
 		return AblationEq1Result{}, err
 	}
 	return AblationEq1Result{Model: results[0], Naive: results[1]}, nil
-}
-
-// AblationEq1 renders the Equation 1 ablation.
-func AblationEq1(o Options) (*Table, error) {
-	res, err := AblationEq1Data(o)
-	if err != nil {
-		return nil, err
-	}
-	return ablationEq1Table(res), nil
 }
 
 // ablationEq1Table renders the two controllers.
@@ -173,20 +159,13 @@ type AblationBurstsResult struct {
 }
 
 // AblationBurstsData runs the 12-pcore B2 oversubscription point with
-// shared and per-VM burst schedules.
-func AblationBurstsData() AblationBurstsResult {
-	res, _ := AblationBurstsDataCtx(context.Background(), Options{})
-	return res
-}
-
-// AblationBurstsDataCtx is AblationBurstsData honoring ctx and
-// Options: a cancelled context stops the in-flight oversubscription
-// run at the kernel's next event batch. The correlated and
-// independent variants fan out through sweep.Map; each variant is
-// itself a Fig12 sweep, exercising nested fan-out under the shared
-// worker budget (the outer cells lend their slots while blocked on
-// the inner grids).
-func AblationBurstsDataCtx(ctx context.Context, o Options) (AblationBurstsResult, error) {
+// shared and per-VM burst schedules. The correlated and independent
+// variants fan out through sweep.Map; each variant is itself a Fig12
+// sweep, exercising nested fan-out under the shared worker budget (the
+// outer cells lend their slots while blocked on the inner grids). A
+// cancelled context stops the in-flight oversubscription run at the
+// kernel's next event batch.
+func AblationBurstsData(ctx context.Context, o Options) (AblationBurstsResult, error) {
 	base := DefaultFig12Params()
 	base.DurationS = 300
 	base.PCoreSteps = []int{12}
@@ -201,7 +180,7 @@ func AblationBurstsDataCtx(ctx context.Context, o Options) (AblationBurstsResult
 			p := base
 			p.IndependentBursts = variants[i].independent
 			p.Tel = base.Tel.Child(variants[i].name)
-			return Fig12DataCtx(ctx, p)
+			return Fig12Data(ctx, p)
 		})
 	if err != nil {
 		return AblationBurstsResult{}, err
@@ -214,11 +193,6 @@ func AblationBurstsDataCtx(ctx context.Context, o Options) (AblationBurstsResult
 		res.Penalty = c.MeanP95MS / i.MeanP95MS
 	}
 	return res, nil
-}
-
-// AblationBursts renders the burst-correlation ablation.
-func AblationBursts() *Table {
-	return ablationBurstsTable(AblationBurstsData())
 }
 
 // ablationBurstsTable renders the correlation comparison.
@@ -239,17 +213,11 @@ func ablationBurstsTable(res AblationBurstsResult) *Table {
 
 // PolicyComparisonData runs all five auto-scaler policies (the paper's
 // three plus the predictive extensions) over the Table XI ramp. The
-// zero Options reproduces the published run (seed 3).
-func PolicyComparisonData(o Options) ([]*autoscaler.Result, error) {
-	return PolicyComparisonDataCtx(context.Background(), o)
-}
-
-// PolicyComparisonDataCtx is PolicyComparisonData honoring ctx: a
-// cancelled context stops the in-flight policy simulation at the
-// kernel's next event batch. The five policy runs share only the
-// read-only ramp phases, so they fan out through sweep.Map under
-// o.Workers.
-func PolicyComparisonDataCtx(ctx context.Context, o Options) ([]*autoscaler.Result, error) {
+// zero Options reproduces the published run (seed 3). The five policy
+// runs share only the read-only ramp phases, so they fan out through
+// sweep.Map under o.Workers; a cancelled context stops the in-flight
+// policy simulation at the kernel's next event batch.
+func PolicyComparisonData(ctx context.Context, o Options) ([]*autoscaler.Result, error) {
 	phases := autoscaler.RampPhases(500, 4000, 500, 300)
 	policies := []autoscaler.Policy{
 		autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA,
@@ -262,15 +230,6 @@ func PolicyComparisonDataCtx(ctx context.Context, o Options) ([]*autoscaler.Resu
 			cfg.Tel = o.Tel.Child(policies[i].String())
 			return autoscaler.RunCtx(ctx, cfg)
 		})
-}
-
-// PolicyComparison renders the five-policy comparison.
-func PolicyComparison(o Options) (*Table, error) {
-	results, err := PolicyComparisonData(o)
-	if err != nil {
-		return nil, err
-	}
-	return policyComparisonTable(results), nil
 }
 
 // policyComparisonTable renders the five policies.
@@ -296,30 +255,9 @@ func policyComparisonTable(results []*autoscaler.Result) *Table {
 }
 
 func init() {
-	registerTable("ablation-eq1", 220, []string{"ablation", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) {
-			res, err := AblationEq1DataCtx(ctx, o)
-			if err != nil {
-				return nil, err
-			}
-			return ablationEq1Table(res), nil
-		})
+	registerData("ablation-eq1", 220, []string{"ablation", "sim"}, AblationEq1Data, ablationEq1Table)
 	registerTable("ablation-bec", 230, []string{"ablation", "fast"},
 		func(ctx context.Context, o Options) (*Table, error) { return AblationBEC() })
-	registerTable("ablation-bursts", 240, []string{"ablation", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) {
-			res, err := AblationBurstsDataCtx(ctx, o)
-			if err != nil {
-				return nil, err
-			}
-			return ablationBurstsTable(res), nil
-		})
-	registerTable("policies", 250, []string{"extension", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) {
-			results, err := PolicyComparisonDataCtx(ctx, o)
-			if err != nil {
-				return nil, err
-			}
-			return policyComparisonTable(results), nil
-		})
+	registerData("ablation-bursts", 240, []string{"ablation", "sim"}, AblationBurstsData, ablationBurstsTable)
+	registerData("policies", 250, []string{"extension", "sim"}, PolicyComparisonData, policyComparisonTable)
 }

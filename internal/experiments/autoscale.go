@@ -16,14 +16,9 @@ type Fig15Result struct {
 // Fig15Data runs the Equation 1 validation: three fixed VMs, the load
 // stepping 1000→2000→500→3000→1000 QPS, frequency control on, versus
 // a baseline that never changes frequency. The zero Options reproduces
-// the published run (seed 3).
-func Fig15Data(o Options) (Fig15Result, error) {
-	return Fig15DataCtx(context.Background(), o)
-}
-
-// Fig15DataCtx is Fig15Data honoring ctx: a cancelled context stops
-// the in-flight simulation at the kernel's next event batch.
-func Fig15DataCtx(ctx context.Context, o Options) (Fig15Result, error) {
+// the published run (seed 3). A cancelled context stops the in-flight
+// simulation at the kernel's next event batch.
+func Fig15Data(ctx context.Context, o Options) (Fig15Result, error) {
 	phases := autoscaler.ValidationPhases()
 
 	mk := func(policy autoscaler.Policy) autoscaler.Config {
@@ -44,15 +39,6 @@ func Fig15DataCtx(ctx context.Context, o Options) (Fig15Result, error) {
 		return Fig15Result{}, err
 	}
 	return Fig15Result{WithModel: withModel, Baseline: baseline}, nil
-}
-
-// Fig15 renders the validation time series at phase boundaries.
-func Fig15(o Options) (*Table, error) {
-	res, err := Fig15Data(o)
-	if err != nil {
-		return nil, err
-	}
-	return fig15Table(res), nil
 }
 
 // fig15Table renders the validation run.
@@ -86,15 +72,10 @@ type TableXIResult struct {
 }
 
 // TableXIData runs the three auto-scaler policies over the 500→4000
-// QPS ramp. The zero Options reproduces the published run (seed 3).
-func TableXIData(o Options) (TableXIResult, error) {
-	return TableXIDataCtx(context.Background(), o)
-}
-
-// TableXIDataCtx is TableXIData honoring ctx: a cancelled context
-// stops the in-flight policy simulation at the kernel's next event
-// batch instead of finishing the ramp.
-func TableXIDataCtx(ctx context.Context, o Options) (TableXIResult, error) {
+// QPS ramp. The zero Options reproduces the published run (seed 3). A
+// cancelled context stops the in-flight policy simulation at the
+// kernel's next event batch instead of finishing the ramp.
+func TableXIData(ctx context.Context, o Options) (TableXIResult, error) {
 	phases := autoscaler.RampPhases(500, 4000, 500, 300)
 	var res TableXIResult
 	for _, pc := range []struct {
@@ -115,15 +96,6 @@ func TableXIDataCtx(ctx context.Context, o Options) (TableXIResult, error) {
 		*pc.dst = r
 	}
 	return res, nil
-}
-
-// TableXI renders the full auto-scaler experiment results.
-func TableXI(o Options) (*Table, TableXIResult, error) {
-	res, err := TableXIData(o)
-	if err != nil {
-		return nil, TableXIResult{}, err
-	}
-	return tableXITable(res), res, nil
 }
 
 // tableXITable renders the policy comparison.
@@ -151,16 +123,6 @@ func tableXITable(res TableXIResult) *Table {
 	row(res.OCE)
 	row(res.OCA)
 	return t
-}
-
-// Fig16 renders the utilization traces of the three policies at fixed
-// sampling points (one per minute).
-func Fig16(o Options) (*Table, error) {
-	res, err := TableXIData(o)
-	if err != nil {
-		return nil, err
-	}
-	return fig16Table(res), nil
 }
 
 // fig16Table renders the per-minute utilization traces.
@@ -200,28 +162,7 @@ func fig16Table(res TableXIResult) *Table {
 }
 
 func init() {
-	registerTable("fig15", 150, []string{"paper", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) {
-			res, err := Fig15DataCtx(ctx, o)
-			if err != nil {
-				return nil, err
-			}
-			return fig15Table(res), nil
-		})
-	registerTable("fig16", 160, []string{"paper", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) {
-			res, err := TableXIDataCtx(ctx, o)
-			if err != nil {
-				return nil, err
-			}
-			return fig16Table(res), nil
-		})
-	registerTable("table11", 170, []string{"paper", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) {
-			res, err := TableXIDataCtx(ctx, o)
-			if err != nil {
-				return nil, err
-			}
-			return tableXITable(res), nil
-		})
+	registerData("fig15", 150, []string{"paper", "sim"}, Fig15Data, fig15Table)
+	registerData("fig16", 160, []string{"paper", "sim"}, TableXIData, fig16Table)
+	registerData("table11", 170, []string{"paper", "sim"}, TableXIData, tableXITable)
 }

@@ -44,16 +44,10 @@ func CoolingOptions() []struct {
 // temperatures, the overclocked lifetime, and the sustainable
 // overclocking duty cycle within the 5-year budget. It quantifies the
 // paper's argument that liquid cooling — and 2PIC in particular —
-// unlocks sustained overclocking.
-func CoolingComparisonData() ([]CoolingRow, error) {
-	return CoolingComparisonDataCtx(context.Background(), Options{})
-}
-
-// CoolingComparisonDataCtx is CoolingComparisonData with the
-// technology rows fanned out through sweep.Map under o.Workers: each
-// cell evaluates one cooling model, so row order is the CoolingOptions
-// order regardless of worker count.
-func CoolingComparisonDataCtx(ctx context.Context, o Options) ([]CoolingRow, error) {
+// unlocks sustained overclocking. The technology rows fan out through
+// sweep.Map under o.Workers: each cell evaluates one cooling model, so
+// row order is the CoolingOptions order regardless of worker count.
+func CoolingComparisonData(ctx context.Context, o Options) ([]CoolingRow, error) {
 	opts := CoolingOptions()
 	return sweep.Map(ctx, len(opts), sweep.Options{Workers: o.Workers, Tel: o.Tel},
 		func(ctx context.Context, i int) (CoolingRow, error) {
@@ -87,18 +81,9 @@ func CoolingComparisonDataCtx(ctx context.Context, o Options) ([]CoolingRow, err
 		})
 }
 
-// CoolingComparison renders the §II technology comparison for
+// coolingComparisonTable renders the §II technology comparison for
 // overclocking.
-func CoolingComparison() (*Table, error) {
-	return coolingComparisonCtx(context.Background(), Options{})
-}
-
-// coolingComparisonCtx renders the comparison from a sweep run.
-func coolingComparisonCtx(ctx context.Context, o Options) (*Table, error) {
-	rows, err := CoolingComparisonDataCtx(ctx, o)
-	if err != nil {
-		return nil, err
-	}
+func coolingComparisonTable(rows []CoolingRow) *Table {
 	t := &Table{
 		Title:  "§II — Which cooling technologies sustain the 305 W / 0.98 V overclock?",
 		Header: []string{"Technology", "Tj @205W", "Tj @305W", "OC lifetime", "OC duty cycle", "Sustained OC"},
@@ -121,10 +106,9 @@ func coolingComparisonCtx(ctx context.Context, o Options) (*Table, error) {
 			fmt.Sprintf("%.0f%%", r.OCDutyCycle*100),
 			ok)
 	}
-	return t, nil
+	return t
 }
 
 func init() {
-	registerTable("cooling", 300, []string{"extension", "fast"},
-		func(ctx context.Context, o Options) (*Table, error) { return coolingComparisonCtx(ctx, o) })
+	registerData("cooling", 300, []string{"extension", "fast"}, CoolingComparisonData, coolingComparisonTable)
 }

@@ -19,18 +19,12 @@ type DiurnalResult struct {
 // patterns are where the paper expects "scale up, then out" to pay off
 // most: the overclock absorbs the morning ramp and the evening decline
 // without churning VMs. The zero Options reproduces the published run
-// (seed 3, 3600 s day).
-func DiurnalData(o Options) (DiurnalResult, error) {
-	return DiurnalDataCtx(context.Background(), o)
-}
-
-// DiurnalDataCtx is DiurnalData honoring ctx: a cancelled context
-// stops the in-flight policy simulation at the kernel's next event
-// batch instead of finishing the simulated day. The three policy runs
-// share only the read-only diurnal phase list, so they fan out
-// through sweep.Map under o.Workers, each publishing telemetry into a
-// per-policy child scope.
-func DiurnalDataCtx(ctx context.Context, o Options) (DiurnalResult, error) {
+// (seed 3, 3600 s day). The three policy runs share only the read-only
+// diurnal phase list, so they fan out through sweep.Map under
+// o.Workers, each publishing telemetry into a per-policy child scope; a
+// cancelled context stops the in-flight policy simulation at the
+// kernel's next event batch instead of finishing the simulated day.
+func DiurnalData(ctx context.Context, o Options) (DiurnalResult, error) {
 	phases := autoscaler.DiurnalPhases(300, 3300, o.DurationOr(3600), 120)
 	policies := []autoscaler.Policy{autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA}
 	results, err := sweep.Map(ctx, len(policies), sweep.Options{Workers: o.Workers, Tel: o.Tel},
@@ -44,15 +38,6 @@ func DiurnalDataCtx(ctx context.Context, o Options) (DiurnalResult, error) {
 		return DiurnalResult{}, err
 	}
 	return DiurnalResult{Results: results}, nil
-}
-
-// Diurnal renders the diurnal-day comparison.
-func Diurnal(o Options) (*Table, error) {
-	res, err := DiurnalData(o)
-	if err != nil {
-		return nil, err
-	}
-	return diurnalTable(res), nil
 }
 
 // diurnalTable renders the policy rows.
@@ -78,12 +63,5 @@ func diurnalTable(res DiurnalResult) *Table {
 }
 
 func init() {
-	registerTable("diurnal", 290, []string{"extension", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) {
-			res, err := DiurnalDataCtx(ctx, o)
-			if err != nil {
-				return nil, err
-			}
-			return diurnalTable(res), nil
-		})
+	registerData("diurnal", 290, []string{"extension", "sim"}, DiurnalData, diurnalTable)
 }

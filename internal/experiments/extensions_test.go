@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
@@ -92,7 +93,10 @@ func TestAblationBursts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("burst ablation in -short mode")
 	}
-	res := AblationBurstsData()
+	res, err := AblationBurstsData(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Correlated bursts must be substantially worse than independent
 	// ones on the oversubscribed host — this is the mechanism behind
 	// Figure 12/13.
@@ -105,7 +109,7 @@ func TestAblationEq1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Eq1 ablation in -short mode")
 	}
-	res, err := AblationEq1Data(Options{})
+	res, err := AblationEq1Data(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +128,7 @@ func TestPolicyComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five-policy comparison in -short mode")
 	}
-	results, err := PolicyComparisonData(Options{})
+	results, err := PolicyComparisonData(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +212,7 @@ func TestWearBudgetDutyCycles(t *testing.T) {
 }
 
 func TestCoolingComparison(t *testing.T) {
-	rows, err := CoolingComparisonData()
+	rows, err := CoolingComparisonData(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +232,8 @@ func TestCoolingComparison(t *testing.T) {
 	if byName["1PIC"].OCDutyCycle >= byName["2PIC FC-3284"].OCDutyCycle {
 		t.Fatal("1PIC duty cycle not below 2PIC FC-3284")
 	}
-	if _, err := CoolingComparison(); err != nil {
-		t.Fatal(err)
+	if tbl := coolingComparisonTable(rows); len(tbl.Rows) != 5 {
+		t.Fatalf("cooling table rows %d", len(tbl.Rows))
 	}
 }
 
@@ -237,7 +241,7 @@ func TestDiurnal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("diurnal day in -short mode")
 	}
-	res, err := DiurnalData(Options{DurationS: 1800})
+	res, err := DiurnalData(context.Background(), Options{DurationS: 1800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +255,8 @@ func TestDiurnal(t *testing.T) {
 	if base.EnergyPerReqJ <= 0 {
 		t.Fatal("energy per request not computed")
 	}
-	if _, err := Diurnal(Options{}); err != nil {
-		t.Fatal(err)
+	if tbl := diurnalTable(res); len(tbl.Rows) != 3 {
+		t.Fatalf("diurnal table rows %d", len(tbl.Rows))
 	}
 }
 
@@ -260,7 +264,7 @@ func TestFleetSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet integration in -short mode")
 	}
-	tbl, err := FleetSim()
+	tbl, err := fleetSim(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

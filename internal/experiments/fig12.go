@@ -308,13 +308,7 @@ func (p Fig12Params) withOptions(o Options) Fig12Params {
 	return p
 }
 
-// Fig12Data runs the oversubscription sweep.
-func Fig12Data(p Fig12Params) []Fig12Point {
-	out, _ := Fig12DataCtx(context.Background(), p)
-	return out
-}
-
-// Fig12DataCtx runs the oversubscription sweep. The grid's cells —
+// Fig12Data runs the oversubscription sweep. The grid's cells —
 // (config, pcores) pairs — are independent simulations sharing only
 // the read-only burst schedules, so they fan out through sweep.Map
 // under p.Workers; results come back in grid order regardless of the
@@ -322,7 +316,7 @@ func Fig12Data(p Fig12Params) []Fig12Point {
 // each point's simulation (the kernel checks ctx every event batch),
 // so a cancelled sweep returns promptly instead of finishing the
 // in-flight run.
-func Fig12DataCtx(ctx context.Context, p Fig12Params) ([]Fig12Point, error) {
+func Fig12Data(ctx context.Context, p Fig12Params) ([]Fig12Point, error) {
 	type cell struct {
 		cfg    freq.Config
 		pcores int
@@ -341,11 +335,6 @@ func Fig12DataCtx(ctx context.Context, p Fig12Params) ([]Fig12Point, error) {
 			cp.Tel = p.Tel.Child(fmt.Sprintf("%s-%dp", c.cfg.Name, c.pcores))
 			return runOversub(ctx, cp, c.cfg, c.pcores, scheds)
 		})
-}
-
-// Fig12 renders the oversubscription latency experiment.
-func Fig12() *Table {
-	return fig12Table(Fig12Data(DefaultFig12Params()))
 }
 
 // fig12Table renders the sweep's points.
@@ -376,12 +365,8 @@ func Fig12Find(data []Fig12Point, configName string, pcores int) (Fig12Point, bo
 }
 
 func init() {
-	registerTable("fig12", 130, []string{"paper", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) {
-			data, err := Fig12DataCtx(ctx, DefaultFig12Params().withOptions(o))
-			if err != nil {
-				return nil, err
-			}
-			return fig12Table(data), nil
-		})
+	registerData("fig12", 130, []string{"paper", "sim"},
+		func(ctx context.Context, o Options) ([]Fig12Point, error) {
+			return Fig12Data(ctx, DefaultFig12Params().withOptions(o))
+		}, fig12Table)
 }

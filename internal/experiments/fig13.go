@@ -238,20 +238,14 @@ func (p Fig13Params) withOptions(o Options) Fig13Params {
 
 // Fig13Data runs all three scenarios under the oversubscribed B2 and
 // OC3 configurations, normalizing against the 20-pcore B2 baseline.
-func Fig13Data(p Fig13Params) []Fig13Cell {
-	cells, _ := Fig13DataCtx(context.Background(), p)
-	return cells
-}
-
-// Fig13DataCtx runs the scenarios. All nine simulations — three
-// scenarios, each at the 20-pcore B2 baseline plus the two
-// oversubscribed configs — are independent, so they fan out through
-// sweep.Map under p.Workers; the improvement normalization happens
-// afterwards on the index-ordered metrics, preserving the serial
-// output exactly. Cancellation is honored both between runs and
-// inside each run's simulation (the kernel checks ctx every event
-// batch), so a cancelled experiment returns promptly.
-func Fig13DataCtx(ctx context.Context, p Fig13Params) ([]Fig13Cell, error) {
+// All nine simulations — three scenarios, each at the 20-pcore B2
+// baseline plus the two oversubscribed configs — are independent, so
+// they fan out through sweep.Map under p.Workers; the improvement
+// normalization happens afterwards on the index-ordered metrics,
+// preserving the serial output exactly. Cancellation is honored both
+// between runs and inside each run's simulation (the kernel checks ctx
+// every event batch), so a cancelled experiment returns promptly.
+func Fig13Data(ctx context.Context, p Fig13Params) ([]Fig13Cell, error) {
 	type run struct {
 		sc     Scenario
 		label  string
@@ -306,12 +300,6 @@ func Fig13DataCtx(ctx context.Context, p Fig13Params) ([]Fig13Cell, error) {
 	return cells, nil
 }
 
-// Fig13 renders the batch + latency-sensitive oversubscription
-// experiment.
-func Fig13() *Table {
-	return fig13Table(Fig13Data(DefaultFig13Params()))
-}
-
 // fig13Table renders the scenario cells.
 func fig13Table(data []Fig13Cell) *Table {
 	t := &Table{
@@ -329,12 +317,8 @@ func fig13Table(data []Fig13Cell) *Table {
 }
 
 func init() {
-	registerTable("fig13", 140, []string{"paper", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) {
-			data, err := Fig13DataCtx(ctx, DefaultFig13Params().withOptions(o))
-			if err != nil {
-				return nil, err
-			}
-			return fig13Table(data), nil
-		})
+	registerData("fig13", 140, []string{"paper", "sim"},
+		func(ctx context.Context, o Options) ([]Fig13Cell, error) {
+			return Fig13Data(ctx, DefaultFig13Params().withOptions(o))
+		}, fig13Table)
 }

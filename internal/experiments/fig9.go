@@ -30,17 +30,11 @@ func Fig9Configs() []freq.Config {
 }
 
 // Fig9Data evaluates the high-performance-VM experiment: each Table IX
-// cloud application run alone under B2, OC1, OC2 and OC3.
-func Fig9Data() []Fig9Cell {
-	cells, _ := Fig9DataCtx(context.Background(), Options{})
-	return cells
-}
-
-// Fig9DataCtx is Fig9Data with the application rows fanned out
-// through sweep.Map under o.Workers: each cell evaluates one
-// application across all four configurations, so row order is the
-// application order regardless of worker count.
-func Fig9DataCtx(ctx context.Context, o Options) ([]Fig9Cell, error) {
+// cloud application run alone under B2, OC1, OC2 and OC3. The
+// application rows fan out through sweep.Map under o.Workers: each
+// cell evaluates one application across all four configurations, so
+// row order is the application order regardless of worker count.
+func Fig9Data(ctx context.Context, o Options) ([]Fig9Cell, error) {
 	apps := workload.Figure9Apps()
 	rows, err := sweep.Map(ctx, len(apps), sweep.Options{Workers: o.Workers, Tel: o.Tel},
 		func(ctx context.Context, i int) ([]Fig9Cell, error) {
@@ -69,18 +63,8 @@ func Fig9DataCtx(ctx context.Context, o Options) ([]Fig9Cell, error) {
 	return cells, nil
 }
 
-// Fig9 renders the Figure 9 reproduction.
-func Fig9() *Table {
-	t, _ := fig9TableCtx(context.Background(), Options{})
-	return t
-}
-
-// fig9TableCtx renders the Figure 9 reproduction from a sweep run.
-func fig9TableCtx(ctx context.Context, o Options) (*Table, error) {
-	data, err := Fig9DataCtx(ctx, o)
-	if err != nil {
-		return nil, err
-	}
+// fig9Table renders the Figure 9 reproduction.
+func fig9Table(data []Fig9Cell) *Table {
 	t := &Table{
 		Title:  "Figure 9 — Normalized metric and server power per application and configuration",
 		Header: []string{"App", "Config", "Norm metric", "Improvement", "Avg power", "P99 power"},
@@ -93,7 +77,7 @@ func fig9TableCtx(ctx context.Context, o Options) (*Table, error) {
 		t.AddRow(c.App, c.Config, F(c.MetricRatio, 3), Pct(c.Improvement),
 			fmt.Sprintf("%.0fW", c.AvgPowerW), fmt.Sprintf("%.0fW", c.P99PowerW))
 	}
-	return t, nil
+	return t
 }
 
 // Fig10Cell is one (kernel, configuration) STREAM measurement.
@@ -188,8 +172,7 @@ func Fig11() *Table {
 }
 
 func init() {
-	registerTable("fig9", 100, []string{"paper", "fast"},
-		func(ctx context.Context, o Options) (*Table, error) { return fig9TableCtx(ctx, o) })
+	registerData("fig9", 100, []string{"paper", "fast"}, Fig9Data, fig9Table)
 	registerTable("fig10", 110, []string{"paper", "fast"},
 		func(ctx context.Context, o Options) (*Table, error) { return Fig10(), nil })
 	registerTable("fig11", 120, []string{"paper", "fast"},

@@ -43,16 +43,12 @@ type PackingResult struct {
 
 // PackingData replays a VM trace through two fleets of equal size: an
 // air-cooled fleet (1:1 vcore:pcore) and a 2PIC fleet allowed 20% CPU
-// oversubscription backed by overclocking (§V "Dense VM packing").
-func PackingData(servers int, trace vm.TraceConfig, oversub float64) PackingResult {
-	res, _ := PackingDataCtx(context.Background(), Options{}, servers, trace, oversub)
-	return res
-}
-
-// PackingDataCtx is PackingData with the two fleet replays fanned out
-// through sweep.Map under o.Workers; both replay the same generated
-// trace, so the result is worker-count-independent.
-func PackingDataCtx(ctx context.Context, o Options, servers int, trace vm.TraceConfig, oversub float64) (PackingResult, error) {
+// oversubscription backed by overclocking (§V "Dense VM packing"). A
+// non-zero o.Seed overrides the trace seed. The two fleet replays fan
+// out through sweep.Map under o.Workers; both replay the same
+// generated trace, so the result is worker-count-independent.
+func PackingData(ctx context.Context, o Options, servers int, trace vm.TraceConfig, oversub float64) (PackingResult, error) {
+	trace.Seed = o.SeedOr(trace.Seed)
 	vms := vm.Generate(trace)
 	outs, err := packFleets(ctx, o, vms, func(i int) *cluster.Cluster {
 		if i == 0 {
@@ -78,22 +74,8 @@ func PackingDataCtx(ctx context.Context, o Options, servers int, trace vm.TraceC
 	}, nil
 }
 
-// Packing renders the packing-density experiment.
-func Packing() *Table {
-	t, _ := packingCtx(context.Background(), Options{})
-	return t
-}
-
-// packingCtx renders the packing-density experiment from a sweep run.
-func packingCtx(ctx context.Context, o Options) (*Table, error) {
-	trace := vm.DefaultTrace
-	// Sized so steady demand hovers around the air fleet's 1:1
-	// capacity: the oversubscribed fleet absorbs the overflow.
-	trace.ArrivalRatePerS = 0.012
-	res, err := PackingDataCtx(ctx, o, 24, trace, 0.25)
-	if err != nil {
-		return nil, err
-	}
+// packingTable renders the packing-density experiment.
+func packingTable(res PackingResult) *Table {
 	t := &Table{
 		Title:  "§V — VM packing density via overclocking-backed oversubscription (24 servers)",
 		Header: []string{"Fleet", "Peak density (vcores/pcore)", "Rejected arrivals"},
@@ -103,7 +85,7 @@ func packingCtx(ctx context.Context, o Options) (*Table, error) {
 	t.AddRow("2PIC + 25% oversub", F(res.OversubDensity, 3), fmt.Sprintf("%d", res.OversubRejected))
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("density gain %+.1f%%; oversubscribed servers exceeding even overclocked capacity: %d", res.DensityGain*100, res.AtRisk))
-	return t, nil
+	return t
 }
 
 // BufferResult compares static failover buffers with
@@ -122,53 +104,46 @@ type BufferResult struct {
 // BuffersData fills two equal fleets to the same demand, fails
 // `failures` servers in each, and recovers the displaced VMs: the
 // static fleet onto its reserved buffer servers, the virtual fleet
-// onto surviving servers via oversubscription + overclocking.
-func BuffersData(servers, failures int, bufferFraction float64, trace vm.TraceConfig) BufferResult {
+// onto surviving servers via oversubscription + overclocking. A
+// non-zero o.Seed overrides the trace seed. The two fleets replay one
+// after the other; a cancelled context stops the run between them.
+func BuffersData(ctx context.Context, o Options, servers, failures int, bufferFraction float64, trace vm.TraceConfig) (BufferResult, error) {
+	trace.Seed = o.SeedOr(trace.Seed)
 	vms := vm.Generate(trace)
+	// failover fills c with every VM that fits (steady state, no
+	// departures — rejection is the signal), fails `failures` servers,
+	// and re-creates the displaced VMs under the failover
+	// oversubscription ratio.
+	failover := func(c *cluster.Cluster, ratio float64) (sellable, displaced int, recovered float64) {
+		for _, v := range vms {
+			c.Place(v) //nolint:errcheck
+		}
+		sellable = c.Stats().VCoresAllocated
+		disp := c.FailServers(failures)
+		c.SetOversubRatio(ratio)
+		if len(disp) > 0 {
+			recovered = float64(c.Recover(disp)) / float64(len(disp))
+		}
+		return sellable, len(disp), recovered
+	}
 
+	var res BufferResult
 	staticC := cluster.New(cluster.TwoSocketBlade, cluster.Policy{BufferFraction: bufferFraction}, servers)
+	res.StaticSellable, res.Displaced, res.StaticRecovered = failover(staticC, 0)
+	if err := ctx.Err(); err != nil {
+		return BufferResult{}, err
+	}
 	// The virtual-buffer fleet runs 1:1 during normal operation and
-	// keeps the overclocking headroom in reserve for failover.
+	// keeps the overclocking headroom in reserve: failover enables
+	// overclocking-backed oversubscription to absorb the displaced VMs
+	// on the surviving servers.
 	virtualC := cluster.New(cluster.TwoSocketBlade, cluster.Policy{}, servers)
-
-	for _, v := range vms {
-		// Steady-state fill: place every VM that fits, no departures.
-		staticC.Place(v)  //nolint:errcheck — rejection is the signal
-		virtualC.Place(v) //nolint:errcheck
-	}
-	stStatic := staticC.Stats()
-	stVirtual := virtualC.Stats()
-
-	res := BufferResult{
-		StaticSellable:  stStatic.VCoresAllocated,
-		VirtualSellable: stVirtual.VCoresAllocated,
-	}
-
-	dispStatic := staticC.FailServers(failures)
-	recStatic := staticC.Recover(dispStatic)
-	dispVirtual := virtualC.FailServers(failures)
-	// Failover: enable overclocking-backed oversubscription to absorb
-	// the displaced VMs on the surviving servers.
-	virtualC.SetOversubRatio(0.25)
-	recVirtual := virtualC.Recover(dispVirtual)
-
-	res.Displaced = len(dispStatic)
-	if len(dispStatic) > 0 {
-		res.StaticRecovered = float64(recStatic) / float64(len(dispStatic))
-	}
-	if len(dispVirtual) > 0 {
-		res.VirtualRecovered = float64(recVirtual) / float64(len(dispVirtual))
-	}
-	return res
+	res.VirtualSellable, _, res.VirtualRecovered = failover(virtualC, 0.25)
+	return res, nil
 }
 
-// Buffers renders the buffer-reduction experiment.
-func Buffers() *Table {
-	trace := vm.DefaultTrace
-	trace.ArrivalRatePerS = 0.25
-	trace.DurationS = 24 * 3600
-	trace.MeanLifetimeS = 48 * 3600
-	res := BuffersData(20, 2, 0.10, trace)
+// buffersTable renders the buffer-reduction experiment.
+func buffersTable(res BufferResult) *Table {
 	t := &Table{
 		Title:  "Figure 6 — Static failover buffers vs overclocking-backed virtual buffers (20 servers, 2 failures)",
 		Header: []string{"Strategy", "Sellable vcores (normal op)", "Displaced VMs recovered"},
@@ -196,15 +171,11 @@ type CapacityCrisisResult struct {
 
 // CapacityCrisisData replays a demand trace whose peak exceeds the
 // fleet's 1:1 capacity (the red gap of Figure 7) through a baseline and
-// an overclocking-backed fleet, counting denied VM requests.
-func CapacityCrisisData(servers int, trace vm.TraceConfig) CapacityCrisisResult {
-	res, _ := CapacityCrisisDataCtx(context.Background(), Options{}, servers, trace)
-	return res
-}
-
-// CapacityCrisisDataCtx is CapacityCrisisData with the two fleet
-// replays fanned out through sweep.Map under o.Workers.
-func CapacityCrisisDataCtx(ctx context.Context, o Options, servers int, trace vm.TraceConfig) (CapacityCrisisResult, error) {
+// an overclocking-backed fleet, counting denied VM requests. A
+// non-zero o.Seed overrides the trace seed. The two fleet replays fan
+// out through sweep.Map under o.Workers.
+func CapacityCrisisData(ctx context.Context, o Options, servers int, trace vm.TraceConfig) (CapacityCrisisResult, error) {
+	trace.Seed = o.SeedOr(trace.Seed)
 	vms := vm.Generate(trace)
 	peak := 0
 	cur := 0
@@ -236,24 +207,8 @@ func CapacityCrisisDataCtx(ctx context.Context, o Options, servers int, trace vm
 	return res, nil
 }
 
-// CapacityCrisis renders the capacity-crisis experiment.
-func CapacityCrisis() *Table {
-	t, _ := capacityCrisisCtx(context.Background(), Options{})
-	return t
-}
-
-// capacityCrisisCtx renders the capacity-crisis experiment from a
-// sweep run.
-func capacityCrisisCtx(ctx context.Context, o Options) (*Table, error) {
-	trace := vm.DefaultTrace
-	trace.Seed = 99
-	trace.ArrivalRatePerS = 0.012
-	trace.DurationS = 2 * 24 * 3600
-	trace.MeanLifetimeS = 24 * 3600
-	res, err := CapacityCrisisDataCtx(ctx, o, 16, trace)
-	if err != nil {
-		return nil, err
-	}
+// capacityCrisisTable renders the capacity-crisis experiment.
+func capacityCrisisTable(res CapacityCrisisResult) *Table {
 	t := &Table{
 		Title:  "Figure 7 — Capacity crisis mitigation (demand beyond supply)",
 		Header: []string{"Fleet", "VM requests denied"},
@@ -261,14 +216,33 @@ func capacityCrisisCtx(ctx context.Context, o Options) (*Table, error) {
 	}
 	t.AddRow("1:1 (no overclocking)", fmt.Sprintf("%d", res.DeniedBaseline))
 	t.AddRow("overclocking-backed +20%", fmt.Sprintf("%d", res.DeniedOC))
-	return t, nil
+	return t
 }
 
 func init() {
-	registerTable("packing", 180, []string{"paper", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) { return packingCtx(ctx, o) })
-	registerTable("buffers", 190, []string{"paper", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) { return Buffers(), nil })
-	registerTable("capacity", 200, []string{"paper", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) { return capacityCrisisCtx(ctx, o) })
+	registerData("packing", 180, []string{"paper", "sim"},
+		func(ctx context.Context, o Options) (PackingResult, error) {
+			trace := vm.DefaultTrace
+			// Sized so steady demand hovers around the air fleet's 1:1
+			// capacity: the oversubscribed fleet absorbs the overflow.
+			trace.ArrivalRatePerS = 0.012
+			return PackingData(ctx, o, 24, trace, 0.25)
+		}, packingTable)
+	registerData("buffers", 190, []string{"paper", "sim"},
+		func(ctx context.Context, o Options) (BufferResult, error) {
+			trace := vm.DefaultTrace
+			trace.ArrivalRatePerS = 0.25
+			trace.DurationS = 24 * 3600
+			trace.MeanLifetimeS = 48 * 3600
+			return BuffersData(ctx, o, 20, 2, 0.10, trace)
+		}, buffersTable)
+	registerData("capacity", 200, []string{"paper", "sim"},
+		func(ctx context.Context, o Options) (CapacityCrisisResult, error) {
+			trace := vm.DefaultTrace
+			trace.Seed = 99
+			trace.ArrivalRatePerS = 0.012
+			trace.DurationS = 2 * 24 * 3600
+			trace.MeanLifetimeS = 24 * 3600
+			return CapacityCrisisData(ctx, o, 16, trace)
+		}, capacityCrisisTable)
 }

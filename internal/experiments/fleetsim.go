@@ -8,19 +8,14 @@ import (
 	"immersionoc/internal/sweep"
 )
 
-// FleetSim runs the full-stack integration simulation — placement,
+// fleetSim runs the full-stack integration simulation — placement,
 // overclock decisions, tank thermals, feeder capping and wear — over a
-// two-day trace, at two load levels.
-func FleetSim() (*Table, error) {
-	return FleetSimCtx(context.Background(), Options{})
-}
-
-// FleetSimCtx is FleetSim honoring ctx and Options: a cancelled
-// context stops the in-flight fleet simulation at its next control
-// step. The two load levels are independent runs, so they fan out
-// through sweep.Map under o.Workers, each publishing telemetry into a
-// per-load child scope of o.Tel.
-func FleetSimCtx(ctx context.Context, o Options) (*Table, error) {
+// two-day trace, at two load levels. A cancelled context stops the
+// in-flight fleet simulation at its next control step. The two load
+// levels are independent runs, so they fan out through sweep.Map under
+// o.Workers, each publishing telemetry into a per-load child scope of
+// o.Tel.
+func fleetSim(ctx context.Context, o Options) (*Table, error) {
 	t := &Table{
 		Title:  "Integration — full-stack fleet simulation (3 tanks × 12 blades, 2-day trace)",
 		Header: []string{"Load", "Peak density", "Rejected", "Peak OC", "OC srv-hours", "Max bath", "Cap events", "Wear vs schedule"},
@@ -64,6 +59,5 @@ func FleetSimCtx(ctx context.Context, o Options) (*Table, error) {
 }
 
 func init() {
-	registerTable("fleetsim", 310, []string{"extension", "sim"},
-		func(ctx context.Context, o Options) (*Table, error) { return FleetSimCtx(ctx, o) })
+	registerTable("fleetsim", 310, []string{"extension", "sim"}, fleetSim)
 }

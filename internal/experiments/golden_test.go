@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -111,8 +112,12 @@ var fig11Golden = []goldenCell{
 }
 
 func TestFig9Golden(t *testing.T) {
+	cells, err := Fig9Data(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := map[[2]string]float64{}
-	for _, c := range Fig9Data() {
+	for _, c := range cells {
 		got[[2]string{c.App, c.Config}] = c.Improvement
 	}
 	for _, g := range fig9Golden {

@@ -12,7 +12,7 @@ import (
 // PlotFig15 renders the Figure 15 validation run as ASCII charts:
 // utilization (controlled vs baseline) and the frequency fraction.
 func PlotFig15(ctx context.Context, o Options) (string, error) {
-	res, err := Fig15DataCtx(ctx, o)
+	res, err := Fig15Data(ctx, o)
 	if err != nil {
 		return "", err
 	}
@@ -32,7 +32,7 @@ func PlotFig15(ctx context.Context, o Options) (string, error) {
 // PlotFig16 renders the Figure 16 utilization and VM-count traces for
 // the three auto-scaler policies.
 func PlotFig16(ctx context.Context, o Options) (string, error) {
-	res, err := TableXIDataCtx(ctx, o)
+	res, err := TableXIData(ctx, o)
 	if err != nil {
 		return "", err
 	}
@@ -55,7 +55,7 @@ func PlotFig16(ctx context.Context, o Options) (string, error) {
 // PlotFig12 renders the Figure 12 oversubscription sweep as latency
 // bars (log-like compression via labels, linear bars).
 func PlotFig12(ctx context.Context, o Options) (string, error) {
-	data, err := Fig12DataCtx(ctx, DefaultFig12Params().withOptions(o))
+	data, err := Fig12Data(ctx, DefaultFig12Params().withOptions(o))
 	if err != nil {
 		return "", err
 	}
@@ -70,7 +70,7 @@ func PlotFig12(ctx context.Context, o Options) (string, error) {
 
 // PlotDiurnal renders the diurnal-day comparison.
 func PlotDiurnal(ctx context.Context, o Options) (string, error) {
-	res, err := DiurnalDataCtx(ctx, o)
+	res, err := DiurnalData(ctx, o)
 	if err != nil {
 		return "", err
 	}

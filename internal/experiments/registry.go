@@ -271,6 +271,19 @@ func registerTable(name string, seq int, tags []string, run func(ctx context.Con
 	})
 }
 
+// registerData registers a table-kind experiment as the composition of
+// its harness's data call and table renderer: the one shape every
+// sweep- or simulation-driven harness takes.
+func registerData[R any](name string, seq int, tags []string, data func(ctx context.Context, o Options) (R, error), render func(R) *Table) {
+	registerTable(name, seq, tags, func(ctx context.Context, o Options) (*Table, error) {
+		r, err := data(ctx, o)
+		if err != nil {
+			return nil, err
+		}
+		return render(r), nil
+	})
+}
+
 // registerPlot registers a plot-kind experiment from a harness
 // returning the rendered chart text.
 func registerPlot(name string, seq int, tags []string, run func(ctx context.Context, o Options) (string, error)) {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"immersionoc/internal/vm"
@@ -19,7 +21,10 @@ func TestFig12Shape(t *testing.T) {
 		p.DurationS = 90
 		p.PCoreSteps = []int{12, 16}
 	}
-	data := Fig12Data(p)
+	data, err := Fig12Data(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Latency decreases with pcores within each config.
 	for _, cfgName := range []string{"B2", "OC3"} {
 		prev := -1.0
@@ -54,7 +59,10 @@ func TestFig12HeadlineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 12 run in -short mode")
 	}
-	data := Fig12Data(DefaultFig12Params())
+	data, err := Fig12Data(context.Background(), DefaultFig12Params())
+	if err != nil {
+		t.Fatal(err)
+	}
 	b16, _ := Fig12Find(data, "B2", 16)
 	o12, _ := Fig12Find(data, "OC3", 12)
 	// Paper: OC3 with 12 pcores within 1% of B2 with 16; our
@@ -69,7 +77,10 @@ func TestFig12PowerCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 12 run in -short mode")
 	}
-	data := Fig12Data(DefaultFig12Params())
+	data, err := Fig12Data(context.Background(), DefaultFig12Params())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		cfg    string
 		pcores int
@@ -94,7 +105,10 @@ func TestFig13Shape(t *testing.T) {
 	}
 	p := DefaultFig13Params()
 	p.DurationS = 180
-	cells := Fig13Data(p)
+	cells, err := Fig13Data(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 30 {
 		t.Fatalf("%d cells, want 30 (3 scenarios × 5 VMs × 2 configs)", len(cells))
 	}
@@ -146,7 +160,10 @@ func TestTableXScenarios(t *testing.T) {
 func TestPackingDensityGain(t *testing.T) {
 	trace := vm.DefaultTrace
 	trace.ArrivalRatePerS = 0.012
-	res := PackingData(24, trace, 0.25)
+	res, err := PackingData(context.Background(), Options{}, 24, trace, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Paper: ~20% packing density improvement.
 	if res.DensityGain < 0.15 || res.DensityGain > 0.30 {
 		t.Fatalf("density gain %v, want ~0.20-0.25", res.DensityGain)
@@ -164,7 +181,10 @@ func TestBuffersVirtualSellsMore(t *testing.T) {
 	trace.ArrivalRatePerS = 0.25
 	trace.DurationS = 24 * 3600
 	trace.MeanLifetimeS = 48 * 3600
-	res := BuffersData(20, 2, 0.10, trace)
+	res, err := BuffersData(context.Background(), Options{}, 20, 2, 0.10, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.VirtualSellable <= res.StaticSellable {
 		t.Fatalf("virtual buffer sells %d ≤ static %d", res.VirtualSellable, res.StaticSellable)
 	}
@@ -185,7 +205,10 @@ func TestCapacityCrisisMitigation(t *testing.T) {
 	trace.ArrivalRatePerS = 0.012
 	trace.DurationS = 2 * 24 * 3600
 	trace.MeanLifetimeS = 24 * 3600
-	res := CapacityCrisisData(16, trace)
+	res, err := CapacityCrisisData(context.Background(), Options{}, 16, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.DemandVCores <= res.SupplyPCores {
 		t.Fatal("trace does not create a capacity crisis")
 	}
@@ -198,17 +221,77 @@ func TestFig15AndTableXIRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("auto-scaler renders in -short mode")
 	}
-	if _, err := Fig15(Options{}); err != nil {
-		t.Fatal(err)
-	}
-	tbl, res, err := TableXI(Options{})
+	ctx := context.Background()
+	f15, err := Fig15Data(ctx, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 3 {
+	if tbl := fig15Table(f15); len(tbl.Rows) != 5 {
+		t.Fatalf("Figure 15 rows %d", len(tbl.Rows))
+	}
+	res, err := TableXIData(ctx, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl := tableXITable(res); len(tbl.Rows) != 3 {
 		t.Fatalf("Table XI rows %d", len(tbl.Rows))
 	}
 	if res.OCA.MaxVMs >= res.Baseline.MaxVMs {
 		t.Errorf("OC-A max VMs %d not below baseline %d", res.OCA.MaxVMs, res.Baseline.MaxVMs)
+	}
+}
+
+// TestFleetHarnessesHonorSeed: Options.Seed reseeds the packing,
+// buffers and capacity traces, and the zero Options keeps each
+// harness's calibrated trace seed.
+func TestFleetHarnessesHonorSeed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seed uint64 // the calibrated trace seed
+	}{
+		{"packing", vm.DefaultTrace.Seed},
+		{"buffers", vm.DefaultTrace.Seed},
+		{"capacity", 99},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, ok := Lookup(tc.name)
+			if !ok {
+				t.Fatalf("%s not registered", tc.name)
+			}
+			text := func(o Options) string {
+				r, err := e.Run(context.Background(), o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r.Text()
+			}
+			def := text(Options{})
+			if got := text(Options{Seed: tc.seed}); got != def {
+				t.Fatalf("zero Options differs from the calibrated seed %d:\n%s\nvs\n%s", tc.seed, def, got)
+			}
+			if got := text(Options{Seed: 13}); got == def {
+				t.Fatalf("Options{Seed: 13} left the table unchanged:\n%s", got)
+			}
+		})
+	}
+}
+
+// TestSimExperimentsHonorCancelledContext: every sim-tagged experiment
+// run under an already-cancelled context returns an error wrapping
+// context.Canceled instead of a table.
+func TestSimExperimentsHonorCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	exps := WithTag("sim")
+	if len(exps) == 0 {
+		t.Fatal("no sim-tagged experiments")
+	}
+	for _, e := range exps {
+		t.Run(e.Name, func(t *testing.T) {
+			r, err := e.Run(ctx, Options{})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v (result %q), want context.Canceled", err, r.Text())
+			}
+		})
 	}
 }

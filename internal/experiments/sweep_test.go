@@ -75,14 +75,14 @@ func shortFig12() Fig12Params {
 // points at any worker count.
 func TestFig12WorkersEquivalence(t *testing.T) {
 	p := shortFig12()
-	serial, err := Fig12DataCtx(context.Background(), p)
+	serial, err := Fig12Data(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
 		pp := p
 		pp.Workers = w
-		par, err := Fig12DataCtx(context.Background(), pp)
+		par, err := Fig12Data(context.Background(), pp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,12 +97,12 @@ func TestFig12WorkersEquivalence(t *testing.T) {
 func TestFig13WorkersEquivalence(t *testing.T) {
 	p := DefaultFig13Params()
 	p.DurationS = 60
-	serial, err := Fig13DataCtx(context.Background(), p)
+	serial, err := Fig13Data(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Workers = 8
-	par, err := Fig13DataCtx(context.Background(), p)
+	par, err := Fig13Data(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestFig13WorkersEquivalence(t *testing.T) {
 // TestFig9WorkersEquivalence covers the model-driven sweeps too: same
 // rows at any worker count.
 func TestFig9WorkersEquivalence(t *testing.T) {
-	serial, err := Fig9DataCtx(context.Background(), Options{})
+	serial, err := Fig9Data(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig9DataCtx(context.Background(), Options{Workers: 8})
+	par, err := Fig9Data(context.Background(), Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestFig9WorkersEquivalence(t *testing.T) {
 		t.Fatal("fig9 rows diverge between serial and 8-wide runs")
 	}
 
-	cSerial, err := CoolingComparisonDataCtx(context.Background(), Options{})
+	cSerial, err := CoolingComparisonData(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cPar, err := CoolingComparisonDataCtx(context.Background(), Options{Workers: 4})
+	cPar, err := CoolingComparisonData(context.Background(), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

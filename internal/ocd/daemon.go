@@ -78,20 +78,6 @@ type Daemon struct {
 	// columns, so a publish costs O(what changed), not O(fleet).
 	snap atomic.Pointer[fleetView]
 
-	// Group commit (write-plane publish coalescing). publishWindow = 0
-	// (the default) publishes after every write. With a positive
-	// window, a write more than one window after the last publish
-	// publishes immediately (a lone write is never delayed), while
-	// writes arriving inside the window mark the view pending and arm
-	// one trailing-edge flush timer — a burst of B writes costs one
-	// leading publish plus one trailing publish instead of B, and no
-	// write waits longer than the window to become visible. All fields
-	// are guarded by mu; the timer callback re-acquires it.
-	publishWindow time.Duration
-	lastPublish   time.Time
-	pendingView   bool
-	flushArmed    bool
-
 	// refs is every server's pre-rendered filter-response fragment,
 	// built in New and read-only afterwards.
 	refs refTable
@@ -127,66 +113,7 @@ func New(cfg dcsim.Config, mode string, reg *telemetry.Registry) (*Daemon, error
 	d.renderers.New = func() any { return telemetry.NewPromRenderer(reg, "ocd") }
 	d.publishLocked()
 	d.refs = newRefTable(d.snap.Load())
-	d.lastPublish = time.Now()
 	return d, nil
-}
-
-// SetPublishMaxLatency sets the group-commit window: the longest a
-// write may stay unpublished while later writes coalesce into one
-// snapshot publication. Zero (the default) publishes after every
-// write. Call before the daemon starts serving.
-func (d *Daemon) SetPublishMaxLatency(w time.Duration) {
-	if w < 0 {
-		w = 0
-	}
-	d.publishWindow = w
-}
-
-// publishNowLocked publishes unconditionally, absorbing any pending
-// coalesced write. Caller must hold d.mu.
-func (d *Daemon) publishNowLocked() {
-	d.pendingView = false
-	d.lastPublish = time.Now()
-	d.publishLocked()
-}
-
-// publishAfterWriteLocked is the group-commit gate every mutating
-// entrant publishes through. Caller must hold d.mu.
-func (d *Daemon) publishAfterWriteLocked() {
-	if d.publishWindow <= 0 {
-		d.publishLocked()
-		return
-	}
-	now := time.Now()
-	if now.Sub(d.lastPublish) >= d.publishWindow {
-		// Leading edge: first write after an idle stretch publishes
-		// immediately.
-		d.pendingView = false
-		d.lastPublish = now
-		d.publishLocked()
-		return
-	}
-	// Inside the window: coalesce, and make sure exactly one
-	// trailing-edge flush is armed so the latest write is published
-	// within the max-latency bound even if no further write arrives.
-	d.pendingView = true
-	if !d.flushArmed {
-		d.flushArmed = true
-		delay := d.publishWindow - now.Sub(d.lastPublish)
-		time.AfterFunc(delay, d.flushPending)
-	}
-}
-
-// flushPending is the trailing-edge timer callback: publish the
-// coalesced writes, if a step or later leading-edge publish has not
-// already absorbed them.
-func (d *Daemon) flushPending() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.flushArmed = false
-	if d.pendingView {
-		d.publishNowLocked()
-	}
 }
 
 // RunScaled drives the control loop from the wall clock. The target
@@ -217,7 +144,7 @@ func (d *Daemon) RunScaled(ctx context.Context, scale float64) {
 		}
 		now := d.sim.Now()
 		if steps > 0 {
-			d.publishNowLocked()
+			d.publishLocked()
 		}
 		d.mu.Unlock()
 		drift.Set(base + time.Since(start).Seconds()*scale - now)
@@ -308,15 +235,13 @@ func post[Req any, Resp any](d *Daemon, vers func(Req) string, fn func(context.C
 // locked adapts a handler that needs the whole daemon lock for its
 // duration, republishing the read snapshot before releasing it — even
 // a denied overclock refreshes power caches as a side effect, so every
-// locked entrant republishes (through the group-commit gate: with a
-// publish window set, bursts coalesce into one publication per
-// window).
+// locked entrant republishes.
 func locked[Req any, Resp any](d *Daemon, fn func(Req) (Resp, error)) func(context.Context, Req) (Resp, error) {
 	return func(_ context.Context, req Req) (Resp, error) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		resp, err := fn(req)
-		d.publishAfterWriteLocked()
+		d.publishLocked()
 		return resp, err
 	}
 }
@@ -483,11 +408,10 @@ func (d *Daemon) step(ctx context.Context, req api.StepRequest) (api.StepRespons
 			d.sim.Step()
 		}
 		simT = d.sim.Now()
-		// Steps publish unconditionally (absorbing any pending
-		// coalesced write): the chunked COW export makes the per-chunk
-		// republish O(servers the chunk's steps touched + dirty
-		// chunks), so progress visibility costs what changed.
-		d.publishNowLocked()
+		// Each chunk of steps publishes: the chunked COW export makes
+		// the per-chunk republish O(servers the chunk's steps touched +
+		// dirty chunks), so progress visibility costs what changed.
+		d.publishLocked()
 		d.mu.Unlock()
 		run += chunk
 	}

@@ -45,7 +45,7 @@ func publishDaemon(b *testing.B, n int) *Daemon {
 			b.Fatalf("prefill place %d: %v %+v", i, err, resp)
 		}
 	}
-	d.publishNowLocked()
+	d.publishLocked()
 	d.mu.Unlock()
 	return d
 }

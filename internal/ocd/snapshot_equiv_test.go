@@ -191,7 +191,7 @@ func TestSnapshotMatchesLockedReads(t *testing.T) {
 		for i := 0; i < d.sim.ServerCount(); i++ {
 			d.sim.RefreshServerPower(i)
 		}
-		d.publishAfterWriteLocked()
+		d.publishLocked()
 		return displaced
 	}
 	displaced := fail(dSnap)

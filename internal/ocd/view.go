@@ -365,10 +365,7 @@ func (d *Daemon) servePrioritize(w http.ResponseWriter, r *http.Request) {
 	}
 	view := d.snap.Load()
 	flat := &view.Flat
-	capV := float64(flat.Spec.PCores)
-	if flat.OversubRatio > 0 && flat.Spec.Overclockable {
-		capV = math.Floor(capV * (1 + flat.OversubRatio))
-	}
+	capV := float64(flat.VCoreCap)
 	vcores := float64(sc.preq.VM.VCores)
 	sc.scores = sc.scores[:0]
 	for _, i := range sc.preq.Servers {
