@@ -214,22 +214,15 @@ func ablationBurstsTable(res AblationBurstsResult) *Table {
 // PolicyComparisonData runs all five auto-scaler policies (the paper's
 // three plus the predictive extensions) over the Table XI ramp. The
 // zero Options reproduces the published run (seed 3). The five policy
-// runs share only the read-only ramp phases, so they fan out through
-// sweep.Map under o.Workers; a cancelled context stops the in-flight
-// policy simulation at the kernel's next event batch.
+// runs fan out through sweep.Map under o.Workers; the paper's three
+// are the same o.Memo cells TableXIData runs, so in one runner.Run
+// they are simulated once. A cancelled context stops the in-flight
+// policy simulations at the kernel's next event batch.
 func PolicyComparisonData(ctx context.Context, o Options) ([]*autoscaler.Result, error) {
-	phases := autoscaler.RampPhases(500, 4000, 500, 300)
-	policies := []autoscaler.Policy{
+	return rampRuns(ctx, o, []autoscaler.Policy{
 		autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA,
 		autoscaler.Predictive, autoscaler.PredictiveOCA,
-	}
-	return sweep.Map(ctx, len(policies), sweep.Options{Workers: o.Workers, Tel: o.Tel},
-		func(ctx context.Context, i int) (*autoscaler.Result, error) {
-			cfg := autoscaler.DefaultConfig(policies[i], phases)
-			cfg.Seed = o.SeedOr(3)
-			cfg.Tel = o.Tel.Child(policies[i].String())
-			return autoscaler.RunCtx(ctx, cfg)
-		})
+	})
 }
 
 // policyComparisonTable renders the five policies.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"immersionoc/internal/autoscaler"
+	"immersionoc/internal/queueing"
+	"immersionoc/internal/sweep"
 )
 
 // Fig15Result carries the model-validation run (scale-up/down only).
@@ -72,30 +74,64 @@ type TableXIResult struct {
 }
 
 // TableXIData runs the three auto-scaler policies over the 500→4000
-// QPS ramp. The zero Options reproduces the published run (seed 3). A
-// cancelled context stops the in-flight policy simulation at the
-// kernel's next event batch instead of finishing the ramp.
+// QPS ramp. The zero Options reproduces the published run (seed 3).
+// The policies fan out through sweep.Map under o.Workers, each
+// publishing into its own child scope of o.Tel, and each run is a cell
+// of o.Memo, so fig16, table11 and policies in one runner.Run simulate
+// each policy once. A cancelled context stops the in-flight policy
+// simulations at the kernel's next event batch instead of finishing
+// the ramp.
 func TableXIData(ctx context.Context, o Options) (TableXIResult, error) {
-	phases := autoscaler.RampPhases(500, 4000, 500, 300)
-	var res TableXIResult
-	for _, pc := range []struct {
-		policy autoscaler.Policy
-		dst    **autoscaler.Result
-	}{
-		{autoscaler.Baseline, &res.Baseline},
-		{autoscaler.OCE, &res.OCE},
-		{autoscaler.OCA, &res.OCA},
-	} {
-		cfg := autoscaler.DefaultConfig(pc.policy, phases)
-		cfg.Seed = o.SeedOr(3)
-		cfg.Tel = o.Tel
-		r, err := autoscaler.RunCtx(ctx, cfg)
-		if err != nil {
-			return TableXIResult{}, err
-		}
-		*pc.dst = r
+	rs, err := rampRuns(ctx, o, []autoscaler.Policy{autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA})
+	if err != nil {
+		return TableXIResult{}, err
 	}
-	return res, nil
+	return TableXIResult{Baseline: rs[0], OCE: rs[1], OCA: rs[2]}, nil
+}
+
+// rampSpec parameterizes autoscaler.RampPhases.
+type rampSpec struct{ start, max, step, phaseS float64 }
+
+// tableXIRamp is the Table XI load schedule: 500→4000 QPS in 500 QPS
+// steps of 300 s.
+var tableXIRamp = rampSpec{start: 500, max: 4000, step: 500, phaseS: 300}
+
+func (r rampSpec) phases() []queueing.LoadPhase {
+	return autoscaler.RampPhases(r.start, r.max, r.step, r.phaseS)
+}
+
+// rampCell keys one auto-scaler ramp run in the run's cell memo: every
+// input that changes the result, and nothing else.
+type rampCell struct {
+	policy autoscaler.Policy
+	seed   uint64
+	ramp   rampSpec
+}
+
+// rampRuns runs each policy over the Table XI ramp (seed 3 unless
+// o.Seed overrides it) through sweep.Map under o.Workers. Each run is
+// a cell of o.Memo: the caller that computes it publishes the run's
+// telemetry into o.Tel.Child(policy), and a caller that reuses it
+// counts cells.shared in o.Tel instead.
+func rampRuns(ctx context.Context, o Options, policies []autoscaler.Policy) ([]*autoscaler.Result, error) {
+	ramp := tableXIRamp
+	phases := ramp.phases()
+	seed := o.SeedOr(3)
+	return sweep.Map(ctx, len(policies), sweep.Options{Workers: o.Workers, Tel: o.Tel},
+		func(ctx context.Context, i int) (*autoscaler.Result, error) {
+			p := policies[i]
+			r, shared, err := sweep.Do(ctx, o.Memo, rampCell{policy: p, seed: seed, ramp: ramp},
+				func(ctx context.Context) (*autoscaler.Result, error) {
+					cfg := autoscaler.DefaultConfig(p, phases)
+					cfg.Seed = seed
+					cfg.Tel = o.Tel.Child(p.String())
+					return autoscaler.RunCtx(ctx, cfg)
+				})
+			if shared {
+				o.Tel.Counter("cells.shared").Inc()
+			}
+			return r, err
+		})
 }
 
 // tableXITable renders the policy comparison.
@@ -131,7 +167,7 @@ func fig16Table(res TableXIResult) *Table {
 		Title:  "Figure 16 — Utilization over time: Baseline vs OC-E vs OC-A",
 		Header: []string{"t (s)", "QPS", "Baseline util", "OC-E util", "OC-A util", "Base VMs", "OC-E VMs", "OC-A VMs"},
 	}
-	phases := autoscaler.RampPhases(500, 4000, 500, 300)
+	phases := tableXIRamp.phases()
 	total := 0.0
 	for _, p := range phases {
 		total += p.DurationS

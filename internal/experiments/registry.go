@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"immersionoc/internal/api"
+	"immersionoc/internal/sweep"
 	"immersionoc/internal/telemetry"
 )
 
@@ -58,6 +59,13 @@ type Options struct {
 	// down unconditionally. Telemetry is process state, not a wire
 	// field.
 	Tel *telemetry.Scope `json:"-"`
+	// Memo is the run-scoped cell memo (sweep.Memo) through which
+	// harnesses that simulate the same cell share one computation: the
+	// runner creates one per run, so fig16, table11 and policies run
+	// each Table XI ramp policy once between them. Nil — a lone
+	// harness call — computes every cell. Like Tel it is process
+	// state, not a wire field.
+	Memo *sweep.Memo `json:"-"`
 }
 
 // SeedOr returns the option seed, or def when unset.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"immersionoc/internal/autoscaler"
+	"immersionoc/internal/telemetry"
 	"immersionoc/internal/vm"
 )
 
@@ -229,7 +231,8 @@ func TestFig15AndTableXIRender(t *testing.T) {
 	if tbl := fig15Table(f15); len(tbl.Rows) != 5 {
 		t.Fatalf("Figure 15 rows %d", len(tbl.Rows))
 	}
-	res, err := TableXIData(ctx, Options{})
+	reg := telemetry.NewRegistry()
+	res, err := TableXIData(ctx, Options{Tel: reg.Scope("table11")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +241,23 @@ func TestFig15AndTableXIRender(t *testing.T) {
 	}
 	if res.OCA.MaxVMs >= res.Baseline.MaxVMs {
 		t.Errorf("OC-A max VMs %d not below baseline %d", res.OCA.MaxVMs, res.Baseline.MaxVMs)
+	}
+
+	// Each policy publishes into its own child scope, so counters are
+	// not summed across the three policies and gauges are not just the
+	// last policy's.
+	snap := reg.Snapshot()
+	if n, ok := snap.Scopes["table11"].Counters["scale_outs"]; ok {
+		t.Errorf("experiment scope carries scale_outs = %d; want it only per policy", n)
+	}
+	for _, r := range []*autoscaler.Result{res.Baseline, res.OCE, res.OCA} {
+		sc, ok := snap.Scopes["table11/"+r.Policy.String()]
+		if !ok {
+			t.Fatalf("no telemetry scope for %s", r.Policy)
+		}
+		if got := sc.Counters["scale_outs"]; got != uint64(r.ScaleOuts) {
+			t.Errorf("%s: scale_outs = %d, Result.ScaleOuts = %d", r.Policy, got, r.ScaleOuts)
+		}
 	}
 }
 

@@ -36,6 +36,14 @@
 // bounds total live parallelism — experiments plus sweep cells — and
 // the resolved count is threaded into experiments.Options.Workers so
 // `octl -j` reaches inside each experiment's grid loops.
+//
+// Each run also gets one cell memo (sweep.Memo, threaded through
+// experiments.Options.Memo unless the caller supplies one): experiments
+// that simulate the same cell — fig16, table11 and policies all run the
+// Table XI ramp — compute it once between them. An experiment waiting
+// on a cell another experiment is computing lends its token while it
+// blocks; the wait counts in its Outcome.Wall and against its own
+// Timeout.
 package runner
 
 import (
@@ -271,6 +279,9 @@ func Run(ctx context.Context, exps []experiments.Experiment, cfg Config) *Report
 	budget.Grow(requested)
 	if cfg.Options.Workers == 0 {
 		cfg.Options.Workers = requested
+	}
+	if cfg.Options.Memo == nil {
+		cfg.Options.Memo = sweep.NewMemo()
 	}
 	report := &Report{Outcomes: make([]Outcome, len(exps)), Workers: workers}
 	start := time.Now()

@@ -225,7 +225,9 @@ func TestReportAggregates(t *testing.T) {
 // every model-driven experiment plus the duration-shortened
 // simulations — including every sweep-enabled harness, so the
 // intra-experiment fan-out crosses the parallel path — without the
-// full evaluation cost.
+// full evaluation cost. fig16, table11 and policies share their ramp
+// cells through the run's memo, so the pin also covers cells computed
+// by one experiment and reused by another.
 func determinismSet(t *testing.T) ([]experiments.Experiment, experiments.Options) {
 	set := experiments.WithTag("fast")
 	if len(set) < 10 {
@@ -233,7 +235,7 @@ func determinismSet(t *testing.T) ([]experiments.Experiment, experiments.Options
 	}
 	if !testing.Short() {
 		for _, name := range []string{
-			"fig12", "fig13", "diurnal", "policies",
+			"fig12", "fig13", "fig16", "table11", "diurnal", "policies",
 			"ablation-eq1", "ablation-bursts", "fleetsim", "packing", "capacity",
 		} {
 			e, ok := experiments.Lookup(name)
@@ -266,12 +268,49 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		}
 		return lines
 	}
-	serial := marshal(Run(context.Background(), exps, Config{Workers: 1, Options: opts}))
-	parallel := marshal(Run(context.Background(), exps, Config{Workers: 8, Options: opts}))
+	sr := Run(context.Background(), exps, Config{Workers: 1, Options: opts})
+	pr := Run(context.Background(), exps, Config{Workers: 8, Options: opts})
+	serial, parallel := marshal(sr), marshal(pr)
+	if !testing.Short() {
+		checkRampCellsShared(t, sr)
+		checkRampCellsShared(t, pr)
+	}
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Errorf("%s: JSON differs between -j 1 and -j 8:\n  serial:   %s\n  parallel: %s",
 				exps[i].Name, serial[i], parallel[i])
+		}
+	}
+}
+
+// checkRampCellsShared: within one run, fig16, table11 and policies
+// simulate the five distinct ramp policies once between them. The 11
+// lookups compute 5 cells and count the other 6 as cells.shared, and
+// policies' first three rows are table11's rows.
+func checkRampCellsShared(t *testing.T, r *Report) {
+	t.Helper()
+	var shared uint64
+	computed := 0
+	for _, name := range []string{"fig16", "table11", "policies"} {
+		shared += r.Telemetry.Scopes[name].Counters["cells.shared"]
+		for scope, sc := range r.Telemetry.Scopes {
+			if strings.HasPrefix(scope, name+"/") && sc.Counters["events"] > 0 {
+				computed++ // a per-policy scope this experiment simulated into
+			}
+		}
+	}
+	if shared != 6 || computed != 5 {
+		t.Errorf("-j %d: cells.shared = %d and %d simulated cells, want 6 and 5", r.Workers, shared, computed)
+	}
+	rows := map[string][][]string{}
+	for _, o := range r.Outcomes {
+		if o.Name == "table11" || o.Name == "policies" {
+			rows[o.Name] = o.Result.Table.Rows
+		}
+	}
+	for i, row := range rows["table11"] {
+		if strings.Join(row, "|") != strings.Join(rows["policies"][i], "|") {
+			t.Errorf("row %d: table11 %q, policies %q", i, row, rows["policies"][i])
 		}
 	}
 }
@@ -543,5 +582,59 @@ func TestWorkersReachSweeps(t *testing.T) {
 		Config{Workers: 8, Budget: sweep.NewBudget(8), Options: experiments.Options{Workers: 2}})
 	if got := seen.Load(); got != 2 {
 		t.Fatalf("Options.Workers = %d, want the explicit 2", got)
+	}
+}
+
+// TestMemoOwnerTimeoutWaiterSucceeds: an experiment waiting on a cell
+// whose owner experiment times out recomputes the cell under its own,
+// still-live context and succeeds; the owner's deadline is not
+// inherited.
+func TestMemoOwnerTimeoutWaiterSucceeds(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	ownerRunning := make(chan struct{})
+	var recomputed atomic.Bool
+	owner := fake("owner", func(ctx context.Context, o experiments.Options) (experiments.Result, error) {
+		_, _, err := sweep.Do(ctx, o.Memo, "cell", func(ctx context.Context) (int, error) {
+			close(ownerRunning)
+			<-ctx.Done() // the runner's per-attempt timeout
+			return 0, ctx.Err()
+		})
+		return experiments.Result{}, err
+	})
+	// delay occupies the second worker so the waiter's attempt, and its
+	// deadline, start well after the owner's.
+	delay := fake("delay", func(ctx context.Context, o experiments.Options) (experiments.Result, error) {
+		time.Sleep(timeout / 4)
+		return tableFor("delay"), nil
+	})
+	waiter := fake("waiter", func(ctx context.Context, o experiments.Options) (experiments.Result, error) {
+		select {
+		case <-ownerRunning:
+		case <-ctx.Done():
+			return experiments.Result{}, ctx.Err()
+		}
+		v, shared, err := sweep.Do(ctx, o.Memo, "cell", func(ctx context.Context) (int, error) {
+			recomputed.Store(true)
+			return 42, nil
+		})
+		if err != nil {
+			return experiments.Result{}, err
+		}
+		if v != 42 || shared {
+			return experiments.Result{}, fmt.Errorf("got (%d, shared %v), want its own 42", v, shared)
+		}
+		return tableFor("waiter"), nil
+	})
+	budget := sweep.NewBudget(2)
+	r := Run(context.Background(), []experiments.Experiment{owner, delay, waiter},
+		Config{Workers: 2, Timeout: timeout, Budget: budget})
+	if !errors.Is(r.Outcomes[0].Err, context.DeadlineExceeded) {
+		t.Fatalf("owner err = %v, want its own timeout", r.Outcomes[0].Err)
+	}
+	if o := r.Outcomes[2]; !o.OK() || !recomputed.Load() {
+		t.Fatalf("waiter: err %v, recomputed %v", o.Err, recomputed.Load())
+	}
+	if u := budget.Used(); u != 0 {
+		t.Fatalf("budget leaks %d tokens after the run", u)
 	}
 }
